@@ -10,6 +10,7 @@ Fed-CDP, Fed-CDP(decay), DSSGD) and its differential-privacy parameters
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import asdict, dataclass, replace
 from typing import Mapping, Optional, Sequence, Tuple, Union
@@ -271,12 +272,13 @@ class FederatedConfig:
             raise ValueError("participation_fraction must lie in (0, 1]")
         if self.rounds <= 0:
             raise ValueError("rounds must be positive")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.clipping_bound <= 0:
-            raise ValueError("clipping_bound must be positive")
-        if self.noise_scale < 0:
-            raise ValueError("noise_scale must be non-negative")
+        # NaN passes a bare ``<= 0`` test and would surface only as a NaN epsilon
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError("learning_rate must be positive and finite")
+        if not (math.isfinite(self.clipping_bound) and self.clipping_bound > 0):
+            raise ValueError("clipping_bound must be positive and finite")
+        if not (math.isfinite(self.noise_scale) and self.noise_scale >= 0):
+            raise ValueError("noise_scale must be non-negative and finite")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
         if not 0.0 <= self.compression_ratio < 1.0:
@@ -324,8 +326,10 @@ class FederatedConfig:
             raise ValueError(
                 f"unknown accountant {self.accountant!r}; expected one of {ACCOUNTANT_NAMES}"
             )
-        if self.epsilon_budget is not None and self.epsilon_budget <= 0:
-            raise ValueError("epsilon_budget must be positive (or None to disable)")
+        if self.epsilon_budget is not None and not (
+            math.isfinite(self.epsilon_budget) and self.epsilon_budget > 0
+        ):
+            raise ValueError("epsilon_budget must be positive and finite (or None to disable)")
         if self.attack is not None and self.attack not in ATTACK_KINDS:
             raise ValueError(
                 f"unknown attack {self.attack!r}; expected one of {ATTACK_KINDS} (or None)"

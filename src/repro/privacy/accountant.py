@@ -10,7 +10,8 @@ re-implement the same accountant from scratch here:
 * :func:`compute_rdp_subsampled_gaussian` — RDP at integer orders ``alpha``
   of one step of the Poisson-subsampled Gaussian mechanism with sampling rate
   ``q`` and noise multiplier ``sigma``, using the binomial-expansion upper
-  bound of Mironov et al. / Abadi et al.;
+  bound of Mironov et al. / Abadi et al., memoised per ``(q, sigma, orders)``
+  so that charging a round costs one vector add;
 * :func:`rdp_to_epsilon` — conversion of composed RDP to ``(epsilon, delta)``;
 * :class:`MomentsAccountant` — stateful accumulation over training steps, the
   object the federated trainers use;
@@ -24,6 +25,7 @@ re-implement the same accountant from scratch here:
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import List, Sequence, Tuple
 
@@ -94,21 +96,40 @@ def compute_rdp_subsampled_gaussian(
     orders:
         Renyi orders; non-integer orders are handled by rounding up to the
         next integer, which only loosens (never understates) the guarantee.
+
+    Curves are memoised per ``(q, sigma, orders)`` for the life of the
+    process, so the returned array is read-only; scale it (``steps * curve``)
+    rather than updating it in place.
     """
-    if not 0.0 < q <= 1.0:
+    if not 0.0 < q <= 1.0:  # also rejects NaN and inf
         raise ValueError(f"sampling rate q must lie in (0, 1], got {q}")
-    if sigma <= 0.0:
-        raise ValueError(f"noise multiplier sigma must be positive, got {sigma}")
+    if not (math.isfinite(sigma) and sigma > 0.0):
+        raise ValueError(f"noise multiplier sigma must be positive and finite, got {sigma}")
+    key = tuple(float(alpha) for alpha in orders)
+    for alpha in key:
+        if not (math.isfinite(alpha) and alpha > 1):
+            raise ValueError(f"RDP orders must be finite and exceed 1, got {alpha}")
+    return _rdp_curve(float(q), float(sigma), key)
+
+
+#: Memo bound: a run needs one curve per distinct (rate, noise) pair, and a
+#: disjoint partition of N examples has at most ~sqrt(2N) distinct shard sizes,
+#: so 4096 entries cover every run up to ~8M examples.
+_RDP_CURVE_CACHE_SIZE = 4096
+
+
+@functools.lru_cache(maxsize=_RDP_CURVE_CACHE_SIZE)
+def _rdp_curve(q: float, sigma: float, orders: Tuple[float, ...]) -> np.ndarray:
+    """Validated, memoised body of :func:`compute_rdp_subsampled_gaussian`."""
     values: List[float] = []
     for alpha in orders:
-        if alpha <= 1:
-            raise ValueError(f"RDP orders must exceed 1, got {alpha}")
         if q == 1.0:
-            values.append(_rdp_gaussian(sigma, float(alpha)))
+            values.append(_rdp_gaussian(sigma, alpha))
             continue
-        alpha_int = int(math.ceil(alpha))
-        values.append(_rdp_subsampled_gaussian_int(q, sigma, alpha_int))
-    return np.asarray(values, dtype=np.float64)
+        values.append(_rdp_subsampled_gaussian_int(q, sigma, int(math.ceil(alpha))))
+    curve = np.asarray(values, dtype=np.float64)
+    curve.setflags(write=False)
+    return curve
 
 
 def rdp_to_epsilon(

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -84,8 +84,8 @@ class RoundCharge:
     def __post_init__(self) -> None:
         if self.level not in CHARGE_LEVELS:
             raise ValueError(f"unknown charge level {self.level!r}; expected one of {CHARGE_LEVELS}")
-        if self.noise_multiplier <= 0:
-            raise ValueError("noise_multiplier must be positive")
+        if not (math.isfinite(self.noise_multiplier) and self.noise_multiplier > 0):
+            raise ValueError("noise_multiplier must be positive and finite")
         if self.steps <= 0:
             raise ValueError("steps must be positive")
 
@@ -160,7 +160,10 @@ class HeterogeneousAccountant:
         self._participation: Optional[np.ndarray] = None   # (K,) rounds charged per client
         self._rounds_charged = 0
         self._equal_shard = MomentsAccountant(orders=self.orders)
-        self._rdp_cache: Dict[Tuple[float, float], np.ndarray] = {}
+        # per-client facts derived once from the bound context (see bind_context)
+        self._rate_index: Optional[np.ndarray] = None     # (K,) index into _instance_rates
+        self._instance_rates: Tuple[float, ...] = ()       # distinct min(1, B / n_k)
+        self._step_caps: Optional[np.ndarray] = None      # (K,) ceil(n_k / B)
 
     # ------------------------------------------------------------------
     # Binding to a run
@@ -176,6 +179,12 @@ class HeterogeneousAccountant:
                 f"ledger tracks {self._ledger.shape[0]} clients but the context "
                 f"has {num_clients} shards"
             )
+        sizes = np.asarray(context.shard_sizes, dtype=np.int64)
+        distinct_sizes, self._rate_index = np.unique(sizes, return_inverse=True)
+        self._instance_rates = tuple(
+            min(1.0, context.batch_size / int(size)) for size in distinct_sizes
+        )
+        self._step_caps = -(-sizes // context.batch_size)
         self._context = context
         self._equal_shard.bind_context(context)
 
@@ -190,27 +199,28 @@ class HeterogeneousAccountant:
     # ------------------------------------------------------------------
     # Charging
     # ------------------------------------------------------------------
-    def _client_rate(self, client: int, level: str) -> float:
-        context = self._require_context()
-        if level == "client":
+    def _round_rdp(self, charge: RoundCharge, clients: np.ndarray) -> np.ndarray:
+        """RDP one round like ``charge`` adds to each of ``clients``, one row each.
+
+        Row ``i`` is ``steps_k * RDP(q_k, sigma)`` for client ``k = clients[i]``
+        — the same elementwise product whether one client or the whole
+        population is charged, so batching never changes a ledger bit.
+        """
+        if charge.level == "client":
             # conditioned on participation, the update is a plain Gaussian release
-            return 1.0
-        return min(1.0, context.batch_size / context.shard_sizes[client])
-
-    def _client_steps(self, client: int, charge_steps: int, level: str) -> int:
-        if level == "client":
-            return charge_steps
-        context = self._require_context()
-        upper = max(1, math.ceil(context.shard_sizes[client] / context.batch_size))
-        return max(1, min(charge_steps, upper))
-
-    def _rdp_curve(self, rate: float, noise_multiplier: float) -> np.ndarray:
-        key = (rate, noise_multiplier)
-        if key not in self._rdp_cache:
-            self._rdp_cache[key] = compute_rdp_subsampled_gaussian(
-                rate, noise_multiplier, self.orders
-            )
-        return self._rdp_cache[key]
+            rates, rows = (1.0,), np.zeros(len(clients), dtype=np.intp)
+            steps = np.full(len(clients), charge.steps)
+        else:
+            distinct, rows = np.unique(self._rate_index[clients], return_inverse=True)
+            rates = [self._instance_rates[index] for index in distinct]
+            steps = np.minimum(self._step_caps[clients], charge.steps)
+        curves = np.stack([
+            compute_rdp_subsampled_gaussian(rate, charge.noise_multiplier, self.orders)
+            for rate in rates
+        ])
+        increments = curves[rows]
+        increments *= steps[:, None]
+        return increments
 
     def charge_round(self, charge: RoundCharge, participants: Sequence[int]) -> None:
         """Charge one round's release to the clients that actually participated.
@@ -228,11 +238,9 @@ class HeterogeneousAccountant:
         for client in cohort:
             if not 0 <= client < self._ledger.shape[0]:
                 raise ValueError(f"participant {client} is outside the client population")
-        for client in cohort:
-            rate = self._client_rate(client, charge.level)
-            steps = self._client_steps(client, charge.steps, charge.level)
-            self._ledger[client] += steps * self._rdp_curve(rate, charge.noise_multiplier)
-            self._participation[client] += 1
+        cohort = np.asarray(cohort, dtype=np.intp)
+        self._ledger[cohort] += self._round_rdp(charge, cohort)
+        self._participation[cohort] += 1
         self._rounds_charged += 1
         self._equal_shard.charge_round(charge, participants)
 
@@ -272,11 +280,8 @@ class HeterogeneousAccountant:
         could push any client past the budget.
         """
         self._require_context()
-        projected = self._ledger.copy()
-        for client in range(projected.shape[0]):
-            rate = self._client_rate(client, charge.level)
-            steps = self._client_steps(client, charge.steps, charge.level)
-            projected[client] += steps * self._rdp_curve(rate, charge.noise_multiplier)
+        projected = self._round_rdp(charge, np.arange(self._ledger.shape[0]))
+        projected += self._ledger
         return float(self._epsilons(projected, np.ones(projected.shape[0], bool), delta).max())
 
     @property
@@ -331,8 +336,6 @@ class HeterogeneousAccountant:
             raise ValueError("participation vector length does not match the ledger")
         if self._context is not None and ledger.shape[0] != len(self._context.shard_sizes):
             raise ValueError("checkpoint ledger does not match the bound client population")
-        if orders != self.orders:
-            self._rdp_cache = {}
         self.orders = orders
         self._ledger = ledger
         self._participation = participation

@@ -60,6 +60,14 @@ def test_config_validation_rejects_bad_values(kwargs):
         FederatedConfig(**base)
 
 
+@pytest.mark.parametrize("field", ["learning_rate", "clipping_bound", "noise_scale",
+                                   "epsilon_budget"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_config_validation_rejects_non_finite_privacy_inputs(field, value):
+    with pytest.raises(ValueError, match=field):
+        FederatedConfig(dataset="mnist", method="fed_cdp", **{field: value})
+
+
 def test_client_validation_and_sampling(rng):
     data = Dataset(rng.normal(size=(10, 4)), rng.integers(0, 2, size=10), num_classes=2)
     client = FederatedClient(0, data, trainer=None)

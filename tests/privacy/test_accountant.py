@@ -6,10 +6,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.privacy import (
     DEFAULT_RDP_ORDERS,
+    AccountingContext,
+    HeterogeneousAccountant,
     MomentsAccountant,
+    RoundCharge,
     abadi_asymptotic_epsilon,
     advanced_composition,
     amplify_by_subsampling,
@@ -18,6 +23,7 @@ from repro.privacy import (
     compute_rdp_subsampled_gaussian,
     rdp_to_epsilon,
 )
+from repro.privacy import accountant as accountant_module
 
 
 def test_accountant_reproduces_paper_table6_values():
@@ -57,6 +63,13 @@ def test_rdp_validation():
         compute_rdp_subsampled_gaussian(0.5, 0.0)
     with pytest.raises(ValueError):
         compute_rdp_subsampled_gaussian(0.5, 1.0, orders=(0.5,))
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="sampling rate"):
+            compute_rdp_subsampled_gaussian(bad, 1.0)
+        with pytest.raises(ValueError, match="noise multiplier"):
+            compute_rdp_subsampled_gaussian(0.5, bad)
+        with pytest.raises(ValueError, match="orders"):
+            compute_rdp_subsampled_gaussian(0.5, 1.0, orders=(2.0, bad))
     with pytest.raises(ValueError):
         rdp_to_epsilon((2.0,), (0.1, 0.2), 1e-5)
     with pytest.raises(ValueError):
@@ -146,3 +159,70 @@ def test_advanced_composition_validation_and_zero_case():
         advanced_composition(0.1, 1e-6, -1, 1e-6)
     with pytest.raises(ValueError):
         advanced_composition(0.1, 1e-6, 10, 0.0)
+
+
+# ----------------------------------------------------------------------
+# Memoised RDP curves
+# ----------------------------------------------------------------------
+def _count_binomial_evaluations(monkeypatch):
+    """Record the ``(q, sigma)`` of every per-order binomial-sum evaluation."""
+    calls = []
+    evaluate = accountant_module._rdp_subsampled_gaussian_int
+
+    def counting(q, sigma, alpha):
+        calls.append((q, sigma))
+        return evaluate(q, sigma, alpha)
+
+    monkeypatch.setattr(accountant_module, "_rdp_subsampled_gaussian_int", counting)
+    return calls
+
+
+def test_rdp_curve_is_evaluated_once_per_rate_and_noise(monkeypatch):
+    accountant_module._rdp_curve.cache_clear()
+    calls = _count_binomial_evaluations(monkeypatch)
+    sizes = (9, 12, 12, 17, 25, 131)  # quantity skew: five distinct B / n_k, all < 1
+    context = AccountingContext(
+        shard_sizes=sizes, batch_size=4, instance_sampling_rate=0.05, client_sampling_rate=0.5
+    )
+    charge = RoundCharge(level="instance", noise_multiplier=0.8, steps=4)
+    moments = MomentsAccountant()
+    moments.bind_context(context)
+    ledger = HeterogeneousAccountant()
+    ledger.bind_context(context)
+    for round_index in range(20):
+        moments.charge_round(charge, [0])
+        ledger.charge_round(charge, [round_index % 6, (round_index + 3) % 6])
+    # the equal-shard rate is shared by the moments accountant and the ledger's
+    # embedded copy; the ledger adds one curve per distinct shard size
+    expected = {(0.05, 0.8)} | {(4 / size, 0.8) for size in sizes}
+    assert set(calls) == expected
+    assert len(calls) == len(expected) * len(DEFAULT_RDP_ORDERS)
+
+
+def test_rdp_curves_are_read_only():
+    accountant_module._rdp_curve.cache_clear()
+    curve = compute_rdp_subsampled_gaussian(0.01, 6.0)
+    assert not curve.flags.writeable
+    with pytest.raises(ValueError):
+        curve *= 2
+    # the refused update left the cached curve intact
+    accountant_module._rdp_curve.cache_clear()
+    assert np.array_equal(curve, compute_rdp_subsampled_gaussian(0.01, 6.0))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    q=st.floats(min_value=1e-4, max_value=1.0),
+    sigma=st.floats(min_value=0.3, max_value=20.0),
+    orders=st.lists(
+        st.sampled_from((1.5, 2.0, 3.0, 4.5, 8.0, 17.25, 32.0, 64.0)), min_size=1, max_size=4
+    ),
+)
+def test_memoised_rdp_curve_is_bitwise_a_fresh_evaluation(q, sigma, orders):
+    accountant_module._rdp_curve.cache_clear()
+    memoised = compute_rdp_subsampled_gaussian(q, sigma, orders)
+    assert compute_rdp_subsampled_gaussian(q, sigma, tuple(orders)) is memoised
+    accountant_module._rdp_curve.cache_clear()
+    fresh = compute_rdp_subsampled_gaussian(q, sigma, orders)
+    assert fresh is not memoised
+    assert np.array_equal(memoised, fresh)

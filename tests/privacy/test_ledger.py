@@ -9,6 +9,7 @@ zero-participation rounds staying uncharged.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from repro.privacy import (
     HeterogeneousAccountant,
     MomentsAccountant,
     RoundCharge,
+    compute_rdp_subsampled_gaussian,
     make_accountant,
 )
 
@@ -60,6 +62,9 @@ def test_round_charge_validation():
         RoundCharge(level="galaxy", noise_multiplier=1.0, steps=1)
     with pytest.raises(ValueError, match="noise_multiplier"):
         RoundCharge(level="instance", noise_multiplier=0.0, steps=1)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="noise_multiplier"):
+            RoundCharge(level="instance", noise_multiplier=bad, steps=1)
     with pytest.raises(ValueError, match="steps"):
         RoundCharge(level="instance", noise_multiplier=1.0, steps=0)
     with pytest.raises(ValueError, match="shard_sizes"):
@@ -202,6 +207,46 @@ def test_ledger_projection_is_conservative_upper_bound():
     accountant.reset()
     accountant.charge_round(_charge(), [0, 1, 2])
     assert accountant.get_epsilon(DELTA) == pytest.approx(projected, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "charge", [_charge(steps=8, sigma=0.8), _charge(steps=1, sigma=6.0, level="client")],
+    ids=["instance", "client"],
+)
+def test_ledger_vectorised_charges_equal_the_per_client_loop(charge):
+    """Charging and projecting are bitwise the per-client ``row + steps * curve`` loop."""
+    sizes = (2, 9, 12, 12, 17, 25, 46, 131)  # quantity skew, one shard smaller than B
+    context = _context(sizes)
+    accountant = make_accountant("heterogeneous", context)
+
+    def looped(ledger, clients):
+        ledger = ledger.copy()
+        for client in clients:
+            size = sizes[client]
+            if charge.level == "client":
+                rate, steps = 1.0, charge.steps
+            else:
+                rate = min(1.0, context.batch_size / size)
+                steps = max(1, min(charge.steps, math.ceil(size / context.batch_size)))
+            ledger[client] += steps * compute_rdp_subsampled_gaussian(
+                rate, charge.noise_multiplier, accountant.orders
+            )
+        return ledger
+
+    reference = np.zeros((len(sizes), len(accountant.orders)))
+    for cohort in ([0, 3, 4], [1, 2, 7], [0, 5, 6, 3]):
+        accountant.charge_round(charge, cohort)
+        reference = looped(reference, cohort)
+    assert np.array_equal(np.asarray(accountant.state_dict()["ledger"]), reference)
+
+    # the projection is the epsilon of the looped ledger with everyone charged once more
+    projected = make_accountant("heterogeneous", context)
+    projected.load_state_dict({
+        **accountant.state_dict(),
+        "ledger": looped(reference, range(len(sizes))).tolist(),
+        "participation": [1] * len(sizes),
+    })
+    assert accountant.projected_epsilon(charge, DELTA) == projected.get_epsilon(DELTA)
 
 
 def test_ledger_rejects_unknown_participants_without_partial_charging():
