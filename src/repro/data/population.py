@@ -140,14 +140,20 @@ class LazyClientPopulation(Sequence):
 
     # ------------------------------------------------------------------
     def shard_sizes(self) -> np.ndarray:
-        """Per-client shard sizes ``n_k`` without materialising any shard."""
+        """Per-client shard sizes ``n_k`` as a read-only int64 array, without
+        materialising any shard.
+
+        Equal-shard populations (``shards`` plans and full copies) return a
+        zero-stride broadcast view: O(1) memory and time whatever ``K`` is.
+        """
         if self._index_lists is not None:
-            return np.asarray([len(part) for part in self._index_lists], dtype=np.int64)
-        if self._full_copy:
-            size = len(self.dataset)
-        else:
-            size = self._plan.data_per_client
-        return np.full(self.num_clients, size, dtype=np.int64)
+            sizes = np.fromiter(
+                map(len, self._index_lists), dtype=np.int64, count=self.num_clients
+            )
+            sizes.flags.writeable = False
+            return sizes
+        size = len(self.dataset) if self._full_copy else self._plan.data_per_client
+        return np.broadcast_to(np.int64(size), (self.num_clients,))
 
     def materialize(self) -> List[Dataset]:
         """All shards as a list — the eager representation, built client by

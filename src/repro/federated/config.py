@@ -281,6 +281,18 @@ class FederatedConfig:
             raise ValueError("noise_scale must be non-negative and finite")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
+        try:
+            decay_bounds = tuple(float(bound) for bound in self.decay_clipping)
+        except (TypeError, ValueError):
+            decay_bounds = ()
+        if len(decay_bounds) != 2 or not all(
+            math.isfinite(bound) and bound > 0 for bound in decay_bounds
+        ):
+            raise ValueError(
+                "decay_clipping must be two positive finite clipping bounds (start, end), "
+                f"got {self.decay_clipping!r}"
+            )
+        self.decay_clipping = decay_bounds
         if not 0.0 <= self.compression_ratio < 1.0:
             raise ValueError("compression_ratio must lie in [0, 1)")
         if not 0.0 < self.dssgd_share_fraction <= 1.0:
@@ -531,8 +543,6 @@ class FederatedConfig:
         unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown FederatedConfig fields: {sorted(unknown)}")
-        if "decay_clipping" in data and data["decay_clipping"] is not None:
-            data["decay_clipping"] = tuple(data["decay_clipping"])
         for tuple_field in (
             "attack_rounds",
             "attack_clients",

@@ -16,6 +16,7 @@ Two kinds of objects live here:
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -50,14 +51,21 @@ def global_l2_norm(values: Sequence[np.ndarray]) -> float:
     return float(np.sqrt(sum(float(np.vdot(v, v)) for v in values)))
 
 
+def _check_bound(bound: float, name: str = "clipping bound") -> None:
+    """Reject a non-positive or non-finite bound: a NaN would turn clipping
+    off (looped path) or poison every example (stacked path), and an infinite
+    one would never clip."""
+    if not (math.isfinite(bound) and bound > 0):
+        raise ValueError(f"{name} must be positive and finite, got {bound}")
+
+
 def clip_by_l2_norm(value: np.ndarray, bound: float) -> np.ndarray:
     """Scale ``value`` so its L2 norm is at most ``bound`` (Algorithm 2, line 10).
 
     Implements ``value / max(1, ||value||_2 / C)``: values inside the ball are
     untouched, larger ones are radially projected onto the ball.
     """
-    if bound <= 0:
-        raise ValueError(f"clipping bound must be positive, got {bound}")
+    _check_bound(bound)
     value = np.asarray(value, dtype=np.float64)
     norm = l2_norm(value)
     scale = max(1.0, norm / bound)
@@ -118,14 +126,15 @@ def clip_per_example_stack(
 
     Vectorized form of applying :func:`clip_gradients_per_layer` to each
     example of the stack: all ``B`` scale factors of a layer are computed from
-    one einsum and applied with one broadcasted multiply.
+    one einsum and applied with one broadcasted division (a division, not a
+    multiply by the reciprocal, so every example matches
+    :func:`clip_by_l2_norm` bit for bit).
 
     Returns ``(clipped_stack, pre_clip_layer_norms)`` so callers (Fed-CDP's
     Figure-3 norm telemetry, :class:`MedianNormClipping`) can reuse the norms
     without recomputing them.
     """
-    if bound <= 0:
-        raise ValueError(f"clipping bound must be positive, got {bound}")
+    _check_bound(bound)
     layer_norms = per_example_layer_norms(stack)
     clipped: List[np.ndarray] = []
     for layer, norms in zip(stack, layer_norms):
@@ -151,8 +160,7 @@ class ConstantClipping(ClippingPolicy):
     """Fixed clipping bound (the paper's default, ``C = 4``)."""
 
     def __init__(self, bound: float = 4.0) -> None:
-        if bound <= 0:
-            raise ValueError(f"clipping bound must be positive, got {bound}")
+        _check_bound(bound)
         self.bound = float(bound)
 
     def bound_for_round(self, round_index: int) -> float:
@@ -170,8 +178,8 @@ class LinearDecayClipping(ClippingPolicy):
     """
 
     def __init__(self, start: float = 6.0, end: float = 2.0, total_rounds: int = 100) -> None:
-        if start <= 0 or end <= 0:
-            raise ValueError("clipping bounds must be positive")
+        _check_bound(start, "start clipping bound")
+        _check_bound(end, "end clipping bound")
         if total_rounds <= 0:
             raise ValueError("total_rounds must be positive")
         self.start = float(start)
@@ -192,8 +200,8 @@ class ExponentialDecayClipping(ClippingPolicy):
     """Exponentially decaying clipping bound (ablation alternative to linear decay)."""
 
     def __init__(self, start: float = 6.0, decay_rate: float = 0.99, minimum: float = 1.0) -> None:
-        if start <= 0 or minimum <= 0:
-            raise ValueError("clipping bounds must be positive")
+        _check_bound(start, "start clipping bound")
+        _check_bound(minimum, "minimum clipping bound")
         if not 0.0 < decay_rate <= 1.0:
             raise ValueError("decay_rate must lie in (0, 1]")
         self.start = float(start)
@@ -219,8 +227,7 @@ class MedianNormClipping(ClippingPolicy):
     """
 
     def __init__(self, fallback: float = 4.0, window: int = 1000) -> None:
-        if fallback <= 0:
-            raise ValueError("fallback bound must be positive")
+        _check_bound(fallback, "fallback bound")
         if window <= 0:
             raise ValueError("window must be positive")
         self.fallback = float(fallback)

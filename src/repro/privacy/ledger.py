@@ -90,7 +90,9 @@ class RoundCharge:
             raise ValueError("steps must be positive")
 
 
-@dataclass(frozen=True)
+# eq=False: an array field has no single truth value, so contexts compare
+# (and hash) by identity
+@dataclass(frozen=True, eq=False)
 class AccountingContext:
     """Realised facts of one run that accountants bind to.
 
@@ -98,10 +100,17 @@ class AccountingContext:
     re-derived) so the default accountant reproduces the paper's numbers
     bit-for-bit; ``shard_sizes`` is the realised partition the heterogeneous
     ledger keys its per-client rates on.
+
+    ``shard_sizes`` is stored as a read-only 1-D int64 array.  A read-only
+    int64 array (such as the zero-stride view
+    :meth:`~repro.data.population.LazyClientPopulation.shard_sizes` returns
+    for equal shards) is kept as is, so binding a million-client run copies
+    nothing; any other input, a writeable array included, is copied once so
+    later changes by the caller cannot reach the context.
     """
 
     #: realised per-client shard sizes ``n_k`` (indexed by client id)
-    shard_sizes: Tuple[int, ...]
+    shard_sizes: np.ndarray
     #: local batch size ``B``
     batch_size: int
     #: the paper's equal-shard instance rate ``q = B * Kt / N``
@@ -110,8 +119,21 @@ class AccountingContext:
     client_sampling_rate: float
 
     def __post_init__(self) -> None:
-        if not self.shard_sizes or any(size <= 0 for size in self.shard_sizes):
-            raise ValueError("shard_sizes must be non-empty and positive")
+        given = self.shard_sizes
+        sizes = np.asarray(given)
+        if sizes.ndim != 1 or sizes.size == 0:
+            raise ValueError("shard_sizes must be a non-empty 1-D sequence")
+        if sizes.dtype.kind == "f":
+            if not np.all(np.isfinite(sizes) & (sizes == np.trunc(sizes))):
+                raise ValueError("shard_sizes must be integers")
+        elif sizes.dtype.kind not in "iu":
+            raise ValueError(f"shard_sizes must be integers, got dtype {sizes.dtype}")
+        if sizes.min() <= 0:
+            raise ValueError("shard_sizes must be positive")
+        if sizes.dtype != np.int64 or (sizes is given and sizes.flags.writeable):
+            sizes = sizes.astype(np.int64)
+        sizes.flags.writeable = False
+        object.__setattr__(self, "shard_sizes", sizes)
         if self.batch_size <= 0:
             raise ValueError("batch_size must be positive")
 
@@ -119,7 +141,7 @@ class AccountingContext:
     def from_config(cls, config, shard_sizes: Sequence[int]) -> "AccountingContext":
         """Build the context from a :class:`~repro.federated.config.FederatedConfig`."""
         return cls(
-            shard_sizes=tuple(int(size) for size in shard_sizes),
+            shard_sizes=shard_sizes,
             batch_size=config.effective_batch_size,
             instance_sampling_rate=config.instance_sampling_rate,
             client_sampling_rate=config.client_sampling_rate,
@@ -179,7 +201,7 @@ class HeterogeneousAccountant:
                 f"ledger tracks {self._ledger.shape[0]} clients but the context "
                 f"has {num_clients} shards"
             )
-        sizes = np.asarray(context.shard_sizes, dtype=np.int64)
+        sizes = context.shard_sizes
         distinct_sizes, self._rate_index = np.unique(sizes, return_inverse=True)
         self._instance_rates = tuple(
             min(1.0, context.batch_size / int(size)) for size in distinct_sizes

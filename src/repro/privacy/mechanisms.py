@@ -22,8 +22,8 @@ def calibrate_sigma(epsilon: float, delta: float) -> float:
 
     ``sigma^2 > 2 ln(1.25/delta) / epsilon^2`` (valid for ``0 < epsilon < 1``).
     """
-    if not 0.0 < epsilon:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     return math.sqrt(2.0 * math.log(1.25 / delta)) / epsilon
@@ -31,8 +31,8 @@ def calibrate_sigma(epsilon: float, delta: float) -> float:
 
 def epsilon_for_sigma(sigma: float, delta: float) -> float:
     """Inverse of :func:`calibrate_sigma`: epsilon guaranteed by a noise multiplier."""
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     return math.sqrt(2.0 * math.log(1.25 / delta)) / sigma
@@ -55,10 +55,14 @@ class GaussianMechanism:
     sensitivity: float
 
     def __post_init__(self) -> None:
-        if self.noise_scale < 0:
-            raise ValueError(f"noise_scale must be non-negative, got {self.noise_scale}")
-        if self.sensitivity < 0:
-            raise ValueError(f"sensitivity must be non-negative, got {self.sensitivity}")
+        if not (math.isfinite(self.noise_scale) and self.noise_scale >= 0):
+            raise ValueError(
+                f"noise_scale must be non-negative and finite, got {self.noise_scale}"
+            )
+        if not (math.isfinite(self.sensitivity) and self.sensitivity >= 0):
+            raise ValueError(
+                f"sensitivity must be non-negative and finite, got {self.sensitivity}"
+            )
 
     @property
     def stddev(self) -> float:

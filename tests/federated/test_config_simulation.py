@@ -68,6 +68,35 @@ def test_config_validation_rejects_non_finite_privacy_inputs(field, value):
         FederatedConfig(dataset="mnist", method="fed_cdp", **{field: value})
 
 
+@pytest.mark.parametrize(
+    "bounds",
+    [
+        (float("nan"), 1.0),
+        (float("inf"), 1.0),
+        (6.0, float("-inf")),
+        (-1.0, 2.0),
+        (6.0, 0.0),
+        (3.0,),
+        (6.0, 4.0, 2.0),
+        (),
+        None,
+        "ab",
+    ],
+)
+def test_config_validation_rejects_bad_decay_clipping(bounds):
+    # unchecked, (-1, 2) and (3,) fail only later in make_decay_policy, and a
+    # NaN start trains on NaN clipping bounds
+    with pytest.raises(ValueError, match="decay_clipping"):
+        FederatedConfig(dataset="mnist", method="fed_cdp_decay", decay_clipping=bounds)
+
+
+def test_config_normalises_decay_clipping_to_float_pair():
+    config = FederatedConfig(dataset="mnist", method="fed_cdp_decay", decay_clipping=[6, 2])
+    assert config.decay_clipping == (6.0, 2.0)
+    assert all(type(bound) is float for bound in config.decay_clipping)
+    assert FederatedConfig.from_dict(config.to_dict()).decay_clipping == (6.0, 2.0)
+
+
 def test_client_validation_and_sampling(rng):
     data = Dataset(rng.normal(size=(10, 4)), rng.integers(0, 2, size=10), num_classes=2)
     client = FederatedClient(0, data, trainer=None)

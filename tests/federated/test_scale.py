@@ -20,6 +20,8 @@ from __future__ import annotations
 import json
 import os
 
+import numpy as np
+
 from repro.experiments.harness import quick_config
 from repro.federated.config import LAZY_CLIENT_STATE_THRESHOLD
 from repro.federated.history import RoundSpool
@@ -333,3 +335,25 @@ def test_population_construction_cost_is_population_size_independent():
     history = simulation.run()
     assert len(history.rounds) == 1
     simulation.close()
+
+
+def test_lazy_uniform_population_binds_a_zero_stride_context():
+    """Equal shards reach the accountant as one broadcast view: building a
+    1M-client simulation allocates no per-client shard-size entry."""
+    config = quick_config(
+        "adult",
+        "nonprivate",
+        num_clients=1_000_000,
+        participation_fraction=0.00001,
+        rounds=1,
+        eval_every=1,
+        seed=9,
+        client_sampling="poisson",
+        local_iterations=1,
+        data_per_client=8,
+    )
+    with FederatedSimulation(config) as simulation:
+        sizes = simulation.accountant._context.shard_sizes
+        assert sizes.shape == (1_000_000,) and sizes.strides == (0,)
+        assert sizes.dtype == np.int64 and not sizes.flags.writeable
+        assert int(sizes[0]) == 8

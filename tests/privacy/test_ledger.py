@@ -72,6 +72,47 @@ def test_round_charge_validation():
                           instance_sampling_rate=0.1, client_sampling_rate=0.5)
 
 
+def _bare_context(shard_sizes):
+    return AccountingContext(shard_sizes=shard_sizes, batch_size=4,
+                             instance_sampling_rate=0.1, client_sampling_rate=0.5)
+
+
+def test_context_stores_shard_sizes_as_read_only_int64_array():
+    for given in ((40, 20, 7), [40, 20, 7], np.array([40, 20, 7], dtype=np.int32),
+                  np.array([40.0, 20.0, 7.0])):
+        sizes = _bare_context(given).shard_sizes
+        assert isinstance(sizes, np.ndarray)
+        assert sizes.dtype == np.int64 and sizes.ndim == 1
+        assert not sizes.flags.writeable
+        np.testing.assert_array_equal(sizes, [40, 20, 7])
+
+
+def test_context_is_isolated_from_the_callers_writeable_array():
+    given = np.array([40, 20, 7], dtype=np.int64)
+    context = _bare_context(given)
+    given[0] = 1
+    np.testing.assert_array_equal(context.shard_sizes, [40, 20, 7])
+    assert given.flags.writeable  # the caller's array is left alone
+
+
+def test_context_keeps_a_read_only_int64_array_without_copying():
+    given = np.broadcast_to(np.int64(8), (1_000_000,))
+    sizes = _bare_context(given).shard_sizes
+    assert sizes is given
+    assert sizes.strides == (0,)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [(2.7, 3), (40, math.nan), (40, math.inf), (True, True), ("40", "20"),
+     [[40, 20]], (40, 0), (40, -3)],
+)
+def test_context_rejects_invalid_shard_sizes(bad):
+    # a non-integral size must not be silently truncated (2.7 -> 2)
+    with pytest.raises(ValueError, match="shard_sizes"):
+        _bare_context(bad)
+
+
 def test_unbound_accountants_refuse_to_charge():
     with pytest.raises(RuntimeError, match="unbound"):
         HeterogeneousAccountant().charge_round(_charge(), [0])

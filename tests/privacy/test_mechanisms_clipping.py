@@ -14,6 +14,7 @@ from repro.privacy import (
     calibrate_sigma,
     clip_by_l2_norm,
     clip_gradients_per_layer,
+    clip_per_example_stack,
     epsilon_for_sigma,
     global_l2_norm,
     l2_norm,
@@ -138,3 +139,46 @@ def test_median_norm_policy(rng):
         policy.observe(-1.0)
     with pytest.raises(ValueError):
         MedianNormClipping(fallback=0.0)
+
+
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+@pytest.mark.parametrize("bound", NON_FINITE)
+def test_both_clipping_paths_reject_non_finite_bounds(rng, bound):
+    # unchecked, a NaN bound leaves the looped path unclipped and turns the
+    # stacked path all-NaN, and an infinite one never clips
+    with pytest.raises(ValueError, match="clipping bound"):
+        clip_by_l2_norm(rng.normal(size=5), bound)
+    with pytest.raises(ValueError, match="clipping bound"):
+        clip_per_example_stack([rng.normal(size=(3, 5))], bound)
+
+
+@pytest.mark.parametrize("bound", NON_FINITE)
+@pytest.mark.parametrize(
+    "make_policy",
+    [
+        lambda b: ConstantClipping(b),
+        lambda b: LinearDecayClipping(start=b, end=2.0),
+        lambda b: LinearDecayClipping(start=6.0, end=b),
+        lambda b: ExponentialDecayClipping(start=b),
+        lambda b: ExponentialDecayClipping(minimum=b),
+        lambda b: MedianNormClipping(fallback=b),
+    ],
+    ids=["constant", "linear-start", "linear-end", "exp-start", "exp-minimum", "median-fallback"],
+)
+def test_clipping_policies_reject_non_finite_bounds(make_policy, bound):
+    with pytest.raises(ValueError, match="bound"):
+        make_policy(bound)
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+def test_noise_parameters_reject_non_finite_values(value):
+    with pytest.raises(ValueError, match="noise_scale"):
+        GaussianMechanism(noise_scale=value, sensitivity=1.0)
+    with pytest.raises(ValueError, match="sensitivity"):
+        GaussianMechanism(noise_scale=1.0, sensitivity=value)
+    with pytest.raises(ValueError, match="sigma"):
+        epsilon_for_sigma(value, 1e-5)
+    with pytest.raises(ValueError, match="epsilon"):
+        calibrate_sigma(value, 1e-5)
