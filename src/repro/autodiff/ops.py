@@ -502,8 +502,10 @@ def _scatter_plan(indices: np.ndarray, size: int) -> np.ndarray:
     """Return the padded gather table ``pos`` of shape ``(size, kmax)``.
 
     ``pos[j]`` holds the positions ``k`` with ``indices[k] == j`` in ascending
-    ``k`` order (matching a sequential scatter-add), padded with
-    ``len(indices)`` — the index of the zero column the caller appends.
+    ``k`` order, padded with ``len(indices)`` — the index of the zero column
+    the caller appends.  The table fixes the order each target's terms are
+    summed in, independent of the batch rows; it is not a sequential
+    scatter-add's order once numpy's pairwise summation kicks in (``kmax >= 8``).
     """
     key = (id(indices), size)
     entry = _SCATTER_PLAN_CACHE.get(key)
@@ -531,9 +533,12 @@ def _scatter_add_2d(data: np.ndarray, indices: np.ndarray, size: int) -> np.ndar
     extended = np.empty((rows, length + 1), dtype=data.dtype)
     extended[:, :length] = data
     extended[:, length] = 0.0
-    # (rows, size, kmax) contiguous gather, reduced over the innermost axis;
-    # the additions happen in the same ascending-source order a sequential
-    # scatter-add would use, followed by exact-zero padding terms.
+    # (rows, size, kmax) contiguous gather, reduced over the innermost axis.
+    # Each target sums its terms (plus exact-zero padding) in one fixed order
+    # that does not depend on the other rows, so a row's result is the same
+    # in any batch.  For kmax >= 8 numpy sums that axis pairwise, so it can
+    # differ from a row-wise ``np.add.at`` in the last bits (a 3x3 conv has
+    # kmax = 9).
     return np.take(extended, pos, axis=1).sum(axis=2)
 
 

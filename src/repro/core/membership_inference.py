@@ -21,8 +21,8 @@ from typing import Optional
 
 import numpy as np
 
-from repro.autodiff import Tensor, no_grad
 from repro.nn import Sequential
+from repro.nn.metrics import chunked_logits
 
 __all__ = [
     "MembershipInferenceResult",
@@ -71,20 +71,13 @@ def membership_auc(member_losses: np.ndarray, nonmember_losses: np.ndarray) -> f
 
 def per_example_losses(model: Sequential, features: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Cross-entropy loss of every example under ``model`` (no graph is built)."""
-    features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64).reshape(-1)
-    if features.shape[0] != labels.shape[0]:
-        raise ValueError("features and labels must be aligned")
-    losses = np.empty(labels.shape[0], dtype=np.float64)
-    with no_grad():
-        for start in range(0, labels.shape[0], 256):
-            batch = features[start : start + 256]
-            batch_labels = labels[start : start + 256]
-            logits = model(Tensor(batch)).numpy()
-            shifted = logits - logits.max(axis=1, keepdims=True)
-            log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-            losses[start : start + 256] = -log_probs[np.arange(batch_labels.shape[0]), batch_labels]
-    return losses
+    losses = []
+    for logits, chunk_labels in chunked_logits(model, features, labels):
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        losses.append(-log_probs[np.arange(chunk_labels.shape[0]), chunk_labels])
+    return np.concatenate(losses) if losses else np.empty(0, dtype=np.float64)
 
 
 def loss_threshold_attack(

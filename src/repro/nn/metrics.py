@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
-from typing import Union
+from typing import Iterator, Tuple, Union
 
 import numpy as np
 
 from repro.autodiff import Tensor, no_grad
 
-__all__ = ["accuracy", "evaluate_accuracy", "confusion_matrix"]
+__all__ = ["EVAL_CHUNK_SIZE", "accuracy", "chunked_logits", "evaluate_accuracy", "confusion_matrix"]
+
+#: examples per forward pass when a whole dataset is pushed through a model
+#: without a graph.  It bounds the transient of the widest conv layer (its
+#: im2col matrix and the transposed copy, ~2 x chunk x C*K*K*OH*OW float64s);
+#: 64 keeps the CNN validation logits bitwise equal to 256-example chunks.
+EVAL_CHUNK_SIZE = 64
 
 
 def accuracy(logits: Union[Tensor, np.ndarray], labels: np.ndarray) -> float:
@@ -26,16 +32,33 @@ def accuracy(logits: Union[Tensor, np.ndarray], labels: np.ndarray) -> float:
     return float(np.mean(predictions == labels))
 
 
-def evaluate_accuracy(model, features: np.ndarray, labels: np.ndarray, batch_size: int = 256) -> float:
-    """Accuracy of ``model`` over a dataset, evaluated without building a graph."""
+def chunked_logits(
+    model, features: np.ndarray, labels: np.ndarray
+) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """Yield ``(logits, labels)`` for consecutive :data:`EVAL_CHUNK_SIZE` chunks.
+
+    Each forward runs under :func:`no_grad`, so nothing is recorded and only
+    one chunk's activations are alive at a time.  ``labels`` must already be
+    1-D; a length mismatch with ``features`` raises ``ValueError`` before
+    the first forward pass.
+    """
     features = np.asarray(features, dtype=np.float64)
+    if features.shape[0] != labels.shape[0]:
+        raise ValueError(f"got {features.shape[0]} examples for {labels.shape[0]} labels")
+    for start in range(0, labels.shape[0], EVAL_CHUNK_SIZE):
+        stop = start + EVAL_CHUNK_SIZE
+        with no_grad():
+            logits = model(Tensor(features[start:stop])).numpy()
+        yield logits, labels[start:stop]
+
+
+def evaluate_accuracy(model, features: np.ndarray, labels: np.ndarray) -> float:
+    """Accuracy of ``model`` over a dataset, evaluated without building a graph."""
     labels = np.asarray(labels).reshape(-1)
-    correct = 0
-    with no_grad():
-        for start in range(0, features.shape[0], batch_size):
-            batch = features[start : start + batch_size]
-            logits = model(Tensor(batch)).numpy()
-            correct += int(np.sum(np.argmax(logits, axis=-1) == labels[start : start + batch_size]))
+    correct = sum(
+        int(np.sum(np.argmax(logits, axis=-1) == chunk_labels))
+        for logits, chunk_labels in chunked_logits(model, features, labels)
+    )
     return correct / max(labels.shape[0], 1)
 
 

@@ -143,6 +143,28 @@ def test_mlp_learns_linearly_separable_data(rng):
     assert evaluate_accuracy(model, features, labels) > 0.9
 
 
+class _ConstantModel:
+    """Predicts class 0 for every example and counts its forward passes."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, x):
+        self.calls += 1
+        return Tensor(np.zeros((x.shape[0], 2)))
+
+
+@pytest.mark.parametrize("num_examples, num_labels", [(256, 384), (8, 12), (12, 8)])
+def test_evaluate_accuracy_rejects_misaligned_labels(num_examples, num_labels):
+    model = _ConstantModel()
+    features = np.zeros((num_examples, 3))
+    labels = np.zeros(num_labels, dtype=np.int64)
+    with pytest.raises(ValueError, match=f"{num_examples} examples for {num_labels} labels"):
+        evaluate_accuracy(model, features, labels)
+    assert model.calls == 0
+    assert evaluate_accuracy(model, features, np.zeros(num_examples, dtype=np.int64)) == 1.0
+
+
 def test_image_cnn_shapes_and_training_step(rng):
     model = build_image_cnn((1, 28, 28), 10, conv_channels=(2, 4), seed=0)
     x = rng.normal(size=(3, 1, 28, 28))
