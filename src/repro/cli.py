@@ -43,26 +43,20 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 import time
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-import dataclasses
-
-from repro.data.partition import PARTITION_STRATEGIES
 from repro.experiments.harness import SCALE_PROFILES, make_config
 from repro.federated.config import (
-    ACCOUNTANT_NAMES,
     ATTACK_KINDS,
-    BYZANTINE_MODES,
-    CLIENT_SAMPLING_SCHEMES,
-    CLIENT_STATE_MODES,
-    EXECUTORS,
+    FIELD_TYPES,
     METHODS,
+    RESUME_MUTABLE_FIELDS,
     FederatedConfig,
-    normalize_attack_rounds,
 )
 from repro.federated.simulation import FederatedSimulation
 
@@ -73,32 +67,34 @@ __all__ = ["main", "build_parser", "load_config_file", "run_experiment"]
 _RUNNER_KEYS = ("profile",)
 
 
-def _parse_attack_rounds(tokens: Optional[List[str]]) -> Optional[object]:
-    """Turn ``--attack-rounds`` tokens into a config value.
+#: ``run`` flag of every FederatedConfig field that has ``help`` metadata
+_CONFIG_FLAGS: Dict[str, str] = {
+    config_field.name: config_field.metadata.get("flag", "--" + config_field.name.replace("_", "-"))
+    for config_field in dataclasses.fields(FederatedConfig)
+    if "help" in config_field.metadata
+}
 
-    Accepts either one ``every_k`` token (attack rounds ``0, k, 2k, ...``) or
-    a list of round indices.  The result is canonicalised with
-    :func:`repro.federated.config.normalize_attack_rounds` and returned in
-    its JSON shape (a sorted list), so resume-conflict checks compare equal
-    against checkpointed configs.
+
+def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+    """Add one flag per :data:`_CONFIG_FLAGS` field, typed from its annotation.
+
+    Every flag defaults to ``None`` so that an absent flag leaves the profile
+    or config-file value in place.
     """
-    if tokens is None:
-        return None
-    if len(tokens) == 1 and tokens[0].startswith("every_"):
-        try:
-            return normalize_attack_rounds(tokens[0])
-        except ValueError as error:
-            raise SystemExit(f"--attack-rounds: {error}")
-    try:
-        rounds = [int(token) for token in tokens]
-    except ValueError:
-        raise SystemExit(
-            f"--attack-rounds expects round indices or a single 'every_k', got {tokens}"
-        )
-    try:
-        return list(normalize_attack_rounds(rounds))
-    except ValueError as error:
-        raise SystemExit(f"--attack-rounds: {error}")
+    for name, flag in _CONFIG_FLAGS.items():
+        metadata = FederatedConfig.__dataclass_fields__[name].metadata
+        element, sequence = FIELD_TYPES[name]
+        options = {"help": metadata["help"]}
+        if element is bool:
+            options.update(action="store_const", const=True, default=None)
+        else:
+            options.update(
+                type=None if element is str else element,
+                nargs="+" if sequence else None,
+                choices=metadata.get("choices"),
+                metavar=metadata.get("metavar"),
+            )
+        parser.add_argument(flag, **options)
 
 
 def load_config_file(path: str) -> dict:
@@ -142,80 +138,29 @@ def load_config_file(path: str) -> dict:
     return payload
 
 
-def _config_from_args(args: argparse.Namespace) -> tuple:
+def _config_from_args(args: argparse.Namespace) -> Tuple[FederatedConfig, str, Set[str], Set[str]]:
     """Materialise the run config from profile defaults, file, and flags.
 
-    Returns ``(config, profile, explicit)`` where ``explicit`` maps every
-    :class:`FederatedConfig` field the user pinned (via a CLI flag or the
-    config file — not via profile defaults) to its requested value; ``run``
-    uses it to detect conflicts with a resumed checkpoint.
+    Returns ``(config, profile, pinned, flagged)``: ``pinned`` names every
+    :class:`FederatedConfig` field the user set via a CLI flag or the config
+    file (not via profile defaults), ``flagged`` the subset set by a flag.
+    ``run`` checks ``pinned`` against a resumed checkpoint and lets
+    ``flagged`` resume-mutable fields override it.
     """
-    file_overrides: dict = {}
-    if args.config:
-        file_overrides = load_config_file(args.config)
-    file_profile = file_overrides.pop("profile", None)
+    values = load_config_file(args.config) if args.config else {}
+    file_profile = values.pop("profile", None)
     profile = args.profile or file_profile or "quick"
-    if profile not in SCALE_PROFILES:
-        raise SystemExit(f"unknown profile {profile!r}; expected one of {sorted(SCALE_PROFILES)}")
-
-    overrides = dict(file_overrides)
-    # canonicalise schedule-shaped file values exactly as FederatedConfig
-    # will, so resume-conflict checks compare like against like (replaying
-    # the original --config command with --resume appended must work even
-    # when the file lists rounds/clients unsorted or with duplicates)
-    if overrides.get("attack_rounds") is not None:
-        try:
-            normalised = normalize_attack_rounds(overrides["attack_rounds"])
-        except ValueError as error:
-            raise SystemExit(f"config file attack_rounds: {error}")
-        overrides["attack_rounds"] = (
-            normalised if isinstance(normalised, str) else list(normalised)
-        )
-    if overrides.get("attack_clients") is not None:
-        overrides["attack_clients"] = sorted({int(c) for c in overrides["attack_clients"]})
-    flag_overrides = {
-        "dataset": args.dataset,
-        "method": args.method,
-        "rounds": args.rounds,
-        "num_clients": args.clients,
-        "participation_fraction": args.participation,
-        "seed": args.seed,
-        "eval_every": args.eval_every,
-        "executor": args.executor,
-        "num_workers": args.workers,
-        "client_state": args.client_state,
-        "worker_chunk_size": args.worker_chunk_size,
-        "noise_scale": args.noise_scale,
-        "clipping_bound": args.clipping_bound,
-        "partition": args.partition,
-        "dirichlet_alpha": args.dirichlet_alpha,
-        "quantity_skew_exponent": args.quantity_skew_exponent,
-        "client_sampling": args.client_sampling,
-        "dropout_rate": args.dropout,
-        "straggler_deadline": args.straggler_deadline,
-        "availability_cycle": args.availability_cycle,
-        "availability_period": args.availability_period,
-        "churn_rate": args.churn_rate,
-        "device_classes": args.device_classes,
-        "drift_rate": args.drift,
-        "accountant": args.accountant,
-        "epsilon_budget": args.epsilon_budget,
-        "attack": args.attack,
-        "attack_rounds": _parse_attack_rounds(args.attack_rounds),
-        "attack_clients": sorted(set(args.attack_clients)) if args.attack_clients else None,
-        "attack_seeds": args.attack_seeds,
-        "attack_iterations": args.attack_iterations,
-        "byzantine_clients": sorted(set(args.byzantine_clients)) if args.byzantine_clients else None,
-        "byzantine_mode": args.byzantine_mode,
-        "byzantine_scale": args.byzantine_scale,
-        "secure_aggregation": args.secure_aggregation,
-        "secure_mask_scale": args.secure_mask_scale,
-    }
-    overrides.update({key: value for key, value in flag_overrides.items() if value is not None})
-    explicit = dict(overrides)
-    dataset = overrides.pop("dataset", None) or "mnist"
-    method = overrides.pop("method", None) or "fed_cdp"
-    return make_config(dataset, method, profile=profile, **overrides), profile, explicit
+    flagged = {name: getattr(args, flag[2:].replace("-", "_")) for name, flag in _CONFIG_FLAGS.items()}
+    flagged = {name: value for name, value in flagged.items() if value is not None}
+    rounds = flagged.get("attack_rounds")
+    if rounds is not None and len(rounds) == 1 and rounds[0].startswith("every_"):
+        flagged["attack_rounds"] = rounds[0]  # the string form, attack every k-th round
+    values.update(flagged)
+    try:
+        config = make_config(profile=profile, **values)
+    except ValueError as error:
+        raise SystemExit(f"invalid config: {error}")
+    return config, profile, set(values), set(flagged)
 
 
 def run_experiment(
@@ -224,11 +169,7 @@ def run_experiment(
     checkpoint_every: int = 1,
     resume: bool = False,
     verbose: bool = False,
-    resume_executor: Optional[str] = None,
-    resume_workers: Optional[int] = None,
-    resume_rounds: Optional[int] = None,
-    resume_client_state: Optional[str] = None,
-    resume_worker_chunk_size: Optional[int] = None,
+    overrides: Optional[Mapping[str, object]] = None,
     history_spool: Optional[str] = None,
     history_tail: int = 64,
 ):
@@ -236,13 +177,13 @@ def run_experiment(
 
     Returns ``(history, wall_clock_seconds, simulation)``; the simulation's
     executor is already closed when this returns.  On resume, the checkpoint
-    pins every numerics-affecting field; ``resume_executor`` /
-    ``resume_workers`` / ``resume_client_state`` / ``resume_worker_chunk_size``
-    override the checkpointed execution backend only when explicitly given
-    (``None`` keeps the checkpoint's choice), and an explicit larger
-    ``resume_rounds`` extends the run ("resume and keep going").
-    ``history_spool`` streams the round history to a JSONL file with only a
-    ``history_tail``-sized window in RAM (see docs/cross_device_scale.md).
+    pins every numerics-affecting field; ``overrides`` may replace the
+    checkpointed value of the fields in
+    :data:`~repro.federated.config.RESUME_MUTABLE_FIELDS` (the execution
+    backend, and a larger ``rounds`` extends the run: "resume and keep
+    going").  ``history_spool`` streams the round history to a JSONL file
+    with only a ``history_tail``-sized window in RAM (see
+    docs/cross_device_scale.md).
     """
     if resume:
         if not checkpoint_path:
@@ -252,13 +193,9 @@ def run_experiment(
         try:
             simulation = FederatedSimulation.from_checkpoint(
                 checkpoint_path,
-                executor=resume_executor,
-                num_workers=resume_workers,
-                rounds=resume_rounds,
-                client_state=resume_client_state,
-                worker_chunk_size=resume_worker_chunk_size,
                 history_spool=history_spool,
                 history_tail=history_tail,
+                **(overrides or {}),
             )
         except ValueError as error:
             raise SystemExit(f"--resume: {error}")
@@ -278,38 +215,27 @@ def run_experiment(
     return history, time.perf_counter() - started, simulation
 
 
-#: config fields the user may legitimately change when resuming a checkpoint
-_RESUME_MUTABLE_FIELDS = ("rounds", "executor", "num_workers", "client_state", "worker_chunk_size")
-
-#: default value of every FederatedConfig field — used to compare explicit
-#: flags against checkpoints whose config omits fields still at their default
-#: (FederatedConfig.to_dict drops such fields for format compatibility)
-_CONFIG_FIELD_DEFAULTS = {
-    config_field.name: config_field.default
-    for config_field in dataclasses.fields(FederatedConfig)
-}
-
-
-def _reject_resume_conflicts(explicit: dict, checkpoint_path: str) -> None:
+def _reject_resume_conflicts(config: FederatedConfig, pinned: Set[str], checkpoint_path: str) -> None:
     """On --resume the checkpoint pins the numerics; fail loudly on conflicts.
 
     Re-running the original command with ``--resume`` appended must work, so
     explicitly-passed values that *match* the checkpoint are fine; a changed
     ``--seed`` or ``--noise-scale`` is rejected instead of silently ignored
     (the user would otherwise attribute the unchanged results to parameters
-    that were never applied).  The execution backend and an extending
-    ``--rounds`` remain free.
+    that were never applied).  The resume-mutable fields remain free.  Both
+    sides are compared as normalised :class:`FederatedConfig` values.
     """
     if not os.path.exists(checkpoint_path):
         return  # run_experiment reports the missing checkpoint
-    with open(checkpoint_path) as handle:
-        checkpoint_config = json.load(handle)["config"]
+    try:
+        with open(checkpoint_path) as handle:
+            checkpointed = FederatedConfig.from_dict(json.load(handle)["config"])
+    except ValueError as error:
+        raise SystemExit(f"--resume: {error}")
     conflicts = [
-        f"{field} (checkpoint: {checkpoint_config.get(field, _CONFIG_FIELD_DEFAULTS.get(field))!r}, "
-        f"requested: {value!r})"
-        for field, value in sorted(explicit.items())
-        if field not in _RESUME_MUTABLE_FIELDS
-        and checkpoint_config.get(field, _CONFIG_FIELD_DEFAULTS.get(field)) != value
+        f"{name} (checkpoint: {getattr(checkpointed, name)!r}, requested: {getattr(config, name)!r})"
+        for name in sorted(pinned)
+        if name not in RESUME_MUTABLE_FIELDS and getattr(checkpointed, name) != getattr(config, name)
     ]
     if conflicts:
         raise SystemExit(
@@ -319,21 +245,17 @@ def _reject_resume_conflicts(explicit: dict, checkpoint_path: str) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    config, profile, explicit = _config_from_args(args)
+    config, profile, pinned, flagged = _config_from_args(args)
     if args.resume and args.checkpoint:
-        _reject_resume_conflicts(explicit, args.checkpoint)
+        _reject_resume_conflicts(config, pinned, args.checkpoint)
     history, elapsed, simulation = run_experiment(
         config,
         checkpoint_path=args.checkpoint,
         checkpoint_every=args.checkpoint_every,
         resume=args.resume,
         verbose=args.verbose,
-        # only an explicit flag overrides the checkpointed backend on resume
-        resume_executor=args.executor,
-        resume_workers=args.workers,
-        resume_rounds=args.rounds,
-        resume_client_state=args.client_state,
-        resume_worker_chunk_size=args.worker_chunk_size,
+        # only an explicit flag overrides the checkpointed value on resume
+        overrides={name: getattr(config, name) for name in RESUME_MUTABLE_FIELDS if name in flagged},
         history_spool=args.history_spool,
         history_tail=args.history_tail,
     )
@@ -501,157 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     run = subparsers.add_parser("run", help="run one federated experiment")
     run.add_argument("--config", help="YAML/JSON file of FederatedConfig overrides (+ optional 'profile')")
     run.add_argument("--profile", choices=sorted(SCALE_PROFILES), help="scale profile (default: quick)")
-    run.add_argument("--dataset", help="benchmark dataset (default: mnist)")
-    run.add_argument("--method", choices=METHODS, help="training method (default: fed_cdp)")
-    run.add_argument("--rounds", type=int, help="number of federated rounds T")
-    run.add_argument("--clients", type=int, help="total number of clients K")
-    run.add_argument("--participation", type=float, help="participating fraction Kt/K")
-    run.add_argument("--eval-every", type=int, help="evaluate every this many rounds")
-    run.add_argument("--noise-scale", type=float, help="DP noise multiplier sigma")
-    run.add_argument("--clipping-bound", type=float, help="DP clipping bound C")
-    run.add_argument(
-        "--accountant",
-        choices=ACCOUNTANT_NAMES,
-        help="privacy accountant: 'moments' (the paper's equal-shard model, default) or "
-        "'heterogeneous' (per-client RDP ledger over the realised partition)",
-    )
-    run.add_argument(
-        "--epsilon-budget",
-        type=float,
-        help="stop before the first round whose release would exceed this epsilon",
-    )
-    run.add_argument(
-        "--partition",
-        choices=PARTITION_STRATEGIES,
-        help="data heterogeneity strategy (default: shards, the paper's scheme)",
-    )
-    run.add_argument(
-        "--dirichlet-alpha", type=float, help="Dirichlet concentration for --partition dirichlet"
-    )
-    run.add_argument(
-        "--quantity-skew-exponent",
-        type=float,
-        help="power-law exponent for --partition quantity_skew (0 = equal sizes)",
-    )
-    run.add_argument(
-        "--client-sampling",
-        choices=CLIENT_SAMPLING_SCHEMES,
-        help="per-round cohort selection (default: fixed)",
-    )
-    run.add_argument(
-        "--dropout", type=float, help="per-round probability a selected client drops out"
-    )
-    run.add_argument(
-        "--straggler-deadline",
-        type=float,
-        help="round deadline in simulated time units (lognormal(0,1) client durations)",
-    )
-    run.add_argument(
-        "--availability-cycle",
-        type=float,
-        help="diurnal availability-cycle amplitude in (0, 1]: each client's "
-        "offline probability follows a per-client phase-offset sinusoid over "
-        "round time (see docs/scenarios.md)",
-    )
-    run.add_argument(
-        "--availability-period",
-        type=int,
-        help="period of the diurnal cycle in rounds (default 24)",
-    )
-    run.add_argument(
-        "--churn-rate",
-        type=float,
-        help="client churn rate in (0, 1): each client lives a geometric number "
-        "of rounds with mean 1/rate before leaving the population",
-    )
-    run.add_argument(
-        "--device-classes",
-        nargs="+",
-        type=float,
-        metavar="MULTIPLIER",
-        help="per-client device-class straggler-duration multipliers, e.g. "
-        "'0.5 1 2' for fast/mid/slow hardware (each client draws one class "
-        "for the whole run; pair with --straggler-deadline)",
-    )
-    run.add_argument(
-        "--drift",
-        type=float,
-        help="per-round concept-drift rate in (0, 1]: at round t a fraction "
-        "min(1, rate*t) of every client's shard carries a resampled label",
-    )
-    run.add_argument(
-        "--attack",
-        choices=ATTACK_KINDS,
-        help="run the in-loop adversary during training (see docs/in_loop_attacks.md)",
-    )
-    run.add_argument(
-        "--attack-rounds",
-        nargs="+",
-        metavar="ROUND|every_k",
-        help="rounds to attack: explicit indices ('0 5 10') or one 'every_k' "
-        "(default with --attack: every round)",
-    )
-    run.add_argument(
-        "--attack-clients",
-        nargs="+",
-        type=int,
-        metavar="CLIENT",
-        help="client ids to attack when they participate (default: all participants)",
-    )
-    run.add_argument(
-        "--attack-seeds",
-        type=int,
-        help="dummy-seed restarts per attack, optimised as one batched reconstruction",
-    )
-    run.add_argument(
-        "--attack-iterations", type=int, help="attack optimiser iteration cap per attack"
-    )
-    run.add_argument(
-        "--byzantine-clients",
-        nargs="+",
-        type=int,
-        metavar="CLIENT",
-        help="client ids that misbehave every round (requires --byzantine-mode)",
-    )
-    run.add_argument(
-        "--byzantine-mode",
-        choices=BYZANTINE_MODES,
-        help="byzantine behaviour: 'scale' / 'sign_flip' corrupt the upload, "
-        "'label_flip' poisons the client's shard (see docs/in_loop_attacks.md)",
-    )
-    run.add_argument(
-        "--byzantine-scale",
-        type=float,
-        help="multiplier for --byzantine-mode scale (default 10)",
-    )
-    run.add_argument(
-        "--secure-aggregation",
-        action="store_const",
-        const=True,
-        default=None,
-        help="mask uploads with pairwise secure aggregation (fedsgd only; the "
-        "masks cancel in the aggregate)",
-    )
-    run.add_argument(
-        "--secure-mask-scale",
-        type=float,
-        help="stddev of the pairwise secure-aggregation masks (default 10)",
-    )
-    run.add_argument("--seed", type=int, help="global RNG seed")
-    run.add_argument("--executor", choices=EXECUTORS, help="client-execution backend (default: serial)")
-    run.add_argument("--workers", type=int, help="worker-pool size for --executor multiprocessing")
-    run.add_argument(
-        "--client-state",
-        choices=CLIENT_STATE_MODES,
-        help="client materialisation: 'eager' builds all K shards up front, 'lazy' "
-        "derives only each round's cohort on demand; 'auto' (default) picks lazy "
-        "from 10k clients (numerics are identical — see docs/cross_device_scale.md)",
-    )
-    run.add_argument(
-        "--worker-chunk-size",
-        type=int,
-        help="clients dispatched per multiprocessing task (default: cohort/workers)",
-    )
+    _add_config_flags(run)
     run.add_argument(
         "--history-spool",
         help="stream per-round history to this JSONL file instead of holding every "

@@ -101,18 +101,19 @@ PAPER_DP_DEFAULTS: Dict[str, float] = {
 
 
 def make_config(
-    dataset: str,
-    method: str,
+    dataset: Optional[str] = None,
+    method: Optional[str] = None,
     profile: str = "bench",
     **overrides,
 ) -> FederatedConfig:
-    """Build a :class:`FederatedConfig` from a scale profile plus overrides."""
+    """Build a :class:`FederatedConfig` from a scale profile plus overrides.
+
+    ``dataset`` / ``method`` left ``None`` take the dataclass defaults.
+    """
     if profile not in SCALE_PROFILES:
         raise ValueError(f"unknown profile {profile!r}; expected one of {sorted(SCALE_PROFILES)}")
     scale = SCALE_PROFILES[profile]
     base = dict(
-        dataset=dataset,
-        method=method,
         num_clients=scale.num_clients,
         participation_fraction=scale.participation_fraction,
         rounds=scale.rounds,
@@ -128,6 +129,7 @@ def make_config(
         eval_every=max(1, scale.rounds),
         seed=0,
     )
+    base.update({name: value for name, value in (("dataset", dataset), ("method", method)) if value is not None})
     base.update(overrides)
     return FederatedConfig(**base)
 

@@ -6,14 +6,21 @@ client population ``K`` and per-round participation ``Kt``, the local training
 hyper-parameters ``(B, L, eta)``, the training method (non-private, Fed-SDP,
 Fed-CDP, Fed-CDP(decay), DSSGD) and its differential-privacy parameters
 ``(C, sigma, delta)``.
+
+The dataclass is the single source of truth for every field: its default,
+its allowed values (``choices`` metadata), whether ``python -m repro run``
+exposes it as a flag (``help`` metadata) and whether a resumed checkpoint may
+change it (:data:`RESUME_MUTABLE_FIELDS`).  Serialisation, the CLI and the
+resume checks all derive from it.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import re
-from dataclasses import asdict, dataclass, replace
-from typing import Mapping, Optional, Sequence, Tuple, Union
+from dataclasses import asdict, dataclass, field, fields, replace
+from typing import Dict, FrozenSet, Mapping, Optional, Sequence, Tuple, Union, get_args, get_origin, get_type_hints
 
 from repro.data.partition import PARTITION_STRATEGIES
 from repro.data.registry import DatasetSpec, get_dataset_spec
@@ -32,6 +39,9 @@ __all__ = [
     "ACCOUNTANT_NAMES",
     "ATTACK_KINDS",
     "BYZANTINE_MODES",
+    "ALWAYS_SERIALISED_FIELDS",
+    "FIELD_TYPES",
+    "RESUME_MUTABLE_FIELDS",
     "normalize_attack_rounds",
 ]
 
@@ -75,6 +85,22 @@ ATTACK_KINDS: Tuple[str, ...] = ("leakage", "membership", "adaptive")
 #: ``0, k, 2k, ...``
 _EVERY_K_PATTERN = re.compile(r"^every_([1-9]\d*)$")
 
+#: Config fields a resumed checkpoint may change: the execution backend and
+#: an extending horizon.  Every other field is pinned by the checkpoint.
+RESUME_MUTABLE_FIELDS: Tuple[str, ...] = ("rounds", "executor", "num_workers", "client_state", "worker_chunk_size")
+
+#: Fields every serialised config carries (the checkpoint format as it first
+#: stabilised).  Every other field is written only when it differs from its
+#: dataclass default, so checkpoints and golden fixtures of runs that leave
+#: later knobs alone stay byte-identical.
+ALWAYS_SERIALISED_FIELDS: FrozenSet[str] = frozenset(
+    """dataset method num_clients participation_fraction rounds batch_size local_iterations
+    learning_rate model_scale num_train_examples num_val_examples data_per_client partition
+    dirichlet_alpha quantity_skew_exponent client_sampling dropout_rate straggler_deadline
+    clipping_bound noise_scale delta decay_clipping sdp_server_side dssgd_share_fraction
+    compression_ratio aggregation executor num_workers seed eval_every""".split()
+)
+
 
 def normalize_attack_rounds(
     value: Optional[Union[str, Sequence[int]]],
@@ -93,7 +119,12 @@ def normalize_attack_rounds(
                 f"attack_rounds string must look like 'every_k' (k >= 1), got {value!r}"
             )
         return value
-    rounds = tuple(sorted({int(r) for r in value}))
+    try:
+        rounds = tuple(sorted({int(r) for r in value}))
+    except (TypeError, ValueError):
+        raise ValueError(
+            f"attack_rounds must be round indices or one 'every_k' string, got {value!r}"
+        ) from None
     if not rounds:
         raise ValueError("attack_rounds must name at least one round (or be None)")
     if rounds[0] < 0:
@@ -101,22 +132,37 @@ def normalize_attack_rounds(
     return rounds
 
 
+#: accepted value types of the scalar number fields (``bool`` never is)
+_NUMBER_KINDS = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a real number")}
+
+
+def _field(default, **metadata):
+    """A config field whose metadata validation and the ``run`` CLI read.
+
+    ``choices`` lists the allowed values (``None`` is allowed too when it is
+    the default); ``help`` exposes the field as a ``python -m repro run``
+    flag, spelled ``--field-name`` unless ``flag`` says otherwise;
+    ``metavar`` names a list flag's items in ``--help``.
+    """
+    return field(default=default, metadata=metadata)
+
+
 @dataclass
 class FederatedConfig:
     """Full description of one federated-learning run."""
 
     #: dataset name from :mod:`repro.data.registry` (``mnist``, ``cifar10``, ...)
-    dataset: str = "mnist"
+    dataset: str = _field("mnist", help="benchmark dataset (default: mnist)")
     #: training method, one of :data:`METHODS`
-    method: str = "fed_cdp"
+    method: str = _field("fed_cdp", choices=METHODS, help="training method (default: fed_cdp)")
 
     # ----- population ------------------------------------------------
     #: total number of clients ``K``
-    num_clients: int = 100
+    num_clients: int = _field(100, flag="--clients", help="total number of clients K")
     #: fraction of clients participating per round (``Kt / K``)
-    participation_fraction: float = 0.10
+    participation_fraction: float = _field(0.10, flag="--participation", help="participating fraction Kt/K")
     #: number of federated rounds ``T``
-    rounds: int = 10
+    rounds: int = _field(10, help="number of federated rounds T")
 
     # ----- local training --------------------------------------------
     #: local batch size ``B`` (defaults to the Table-I value when ``None``)
@@ -139,49 +185,83 @@ class FederatedConfig:
     # ----- heterogeneity scenario (see docs/scenarios.md) ---------------
     #: partition strategy, one of :data:`repro.data.partition.PARTITION_STRATEGIES`
     #: (``shards`` = the paper's Table-I scheme)
-    partition: str = "shards"
+    partition: str = _field(
+        "shards",
+        choices=PARTITION_STRATEGIES,
+        help="data heterogeneity strategy (default: shards, the paper's scheme)",
+    )
     #: Dirichlet concentration for ``partition="dirichlet"`` (small = pathological skew)
-    dirichlet_alpha: float = 0.5
+    dirichlet_alpha: float = _field(0.5, help="Dirichlet concentration for --partition dirichlet")
     #: power-law exponent for ``partition="quantity_skew"`` (0 = equal sizes)
-    quantity_skew_exponent: float = 1.5
+    quantity_skew_exponent: float = _field(
+        1.5, help="power-law exponent for --partition quantity_skew (0 = equal sizes)"
+    )
 
     # ----- client availability (see docs/scenarios.md) ------------------
     #: per-round client-selection scheme: ``fixed`` (exactly Kt clients) or
     #: ``poisson`` (each client independently with probability Kt/K; a round
     #: may select *no* clients and is then skipped)
-    client_sampling: str = "fixed"
+    client_sampling: str = _field(
+        "fixed",
+        choices=CLIENT_SAMPLING_SCHEMES,
+        help="per-round cohort selection (default: fixed)",
+    )
     #: probability that a selected client drops out of a round before
     #: reporting its update (1.0 = every round is skipped)
-    dropout_rate: float = 0.0
+    dropout_rate: float = _field(
+        0.0, flag="--dropout", help="per-round probability a selected client drops out"
+    )
     #: round deadline in simulated time units; a surviving client whose
     #: lognormal(0, 1) simulated duration (median 1.0) exceeds it is excluded
     #: as a straggler (``None`` disables straggler exclusion)
-    straggler_deadline: Optional[float] = None
+    straggler_deadline: Optional[float] = _field(
+        None, help="round deadline in simulated time units (lognormal(0,1) client durations)"
+    )
     #: amplitude in (0, 1] of the diurnal availability cycle: each client's
     #: offline probability follows a per-client phase-offset sinusoid over
     #: round time (``None`` disables; see docs/scenarios.md)
-    availability_cycle: Optional[float] = None
+    availability_cycle: Optional[float] = _field(
+        None,
+        help="diurnal availability-cycle amplitude in (0, 1]: each client's "
+        "offline probability follows a per-client phase-offset sinusoid over "
+        "round time (see docs/scenarios.md)",
+    )
     #: period of the diurnal cycle in rounds ("hours per day")
-    availability_period: int = 24
+    availability_period: int = _field(24, help="period of the diurnal cycle in rounds (default 24)")
     #: client churn rate in (0, 1): each client lives for a geometric number
     #: of rounds with mean ``1 / churn_rate`` before leaving the population
     #: (``None`` disables churn)
-    churn_rate: Optional[float] = None
+    churn_rate: Optional[float] = _field(
+        None,
+        help="client churn rate in (0, 1): each client lives a geometric number "
+        "of rounds with mean 1/rate before leaving the population",
+    )
     #: per-client device-class straggler-duration multipliers, e.g.
     #: ``(0.5, 1.0, 2.0)`` for fast/mid/slow hardware — each client draws one
     #: class for the whole run (``None`` disables; only meaningful together
     #: with ``straggler_deadline``)
-    device_classes: Optional[Tuple[float, ...]] = None
+    device_classes: Optional[Tuple[float, ...]] = _field(
+        None,
+        metavar="MULTIPLIER",
+        help="per-client device-class straggler-duration multipliers, e.g. "
+        "'0.5 1 2' for fast/mid/slow hardware (each client draws one class "
+        "for the whole run; pair with --straggler-deadline)",
+    )
     #: per-round concept-drift rate in (0, 1]: at round ``t`` a fraction
     #: ``min(1, drift_rate * t)`` of every client's shard carries a resampled
     #: label (``None`` disables drift)
-    drift_rate: Optional[float] = None
+    drift_rate: Optional[float] = _field(
+        None,
+        flag="--drift",
+        help="per-round concept-drift rate in (0, 1]: at round t a fraction "
+        "min(1, rate*t) of every client's shard carries a resampled label",
+    )
 
     # ----- differential privacy ----------------------------------------
     #: clipping bound ``C`` (paper default 4)
-    clipping_bound: float = 4.0
+    clipping_bound: float = _field(4.0, help="DP clipping bound C")
     #: noise multiplier ``sigma`` (paper default 6)
-    noise_scale: float = 6.0
+    noise_scale: float = _field(6.0, help="DP noise multiplier sigma")
     #: target broken-guarantee probability ``delta``
     delta: float = 1e-5
     #: clipping-decay schedule for Fed-CDP(decay): ``(start, end)``
@@ -191,39 +271,70 @@ class FederatedConfig:
     #: privacy accountant, one of :data:`ACCOUNTANT_NAMES`: ``moments`` (the
     #: paper's equal-shard model) or ``heterogeneous`` (per-client RDP ledger
     #: over the realised partition — see docs/privacy_accounting.md)
-    accountant: str = "moments"
+    accountant: str = _field(
+        "moments",
+        choices=ACCOUNTANT_NAMES,
+        help="privacy accountant: 'moments' (the paper's equal-shard model, default) or "
+        "'heterogeneous' (per-client RDP ledger over the realised partition)",
+    )
     #: stop training before the first round whose release would push the
     #: accountant's epsilon past this budget (``None`` disables; private
     #: methods only)
-    epsilon_budget: Optional[float] = None
+    epsilon_budget: Optional[float] = _field(
+        None, help="stop before the first round whose release would exceed this epsilon"
+    )
 
     # ----- in-loop adversary (see docs/in_loop_attacks.md) ---------------
     #: in-loop attack kind, one of :data:`ATTACK_KINDS` (``None`` disables;
     #: ``leakage`` runs gradient-reconstruction attacks inside the simulation)
-    attack: Optional[str] = None
+    attack: Optional[str] = _field(
+        None,
+        choices=ATTACK_KINDS,
+        help="run the in-loop adversary during training (see docs/in_loop_attacks.md)",
+    )
     #: rounds at which the adversary strikes: ``None`` (every round), an
     #: explicit list of round indices, or the string ``"every_k"``
-    attack_rounds: Optional[Union[str, Tuple[int, ...]]] = None
+    attack_rounds: Optional[Union[str, Tuple[int, ...]]] = _field(
+        None,
+        metavar="ROUND|every_k",
+        help="rounds to attack: explicit indices ('0 5 10') or one 'every_k' "
+        "(default with --attack: every round)",
+    )
     #: client ids the adversary targets when they participate in an attacked
     #: round (``None`` = every participating client)
-    attack_clients: Optional[Tuple[int, ...]] = None
+    attack_clients: Optional[Tuple[int, ...]] = _field(
+        None,
+        metavar="CLIENT",
+        help="client ids to attack when they participate (default: all participants)",
+    )
     #: number of multi-restart dummy seeds per attack, optimised as one
     #: batched reconstruction (see :mod:`repro.attacks.multistart`)
-    attack_seeds: int = 1
+    attack_seeds: int = _field(
+        1, help="dummy-seed restarts per attack, optimised as one batched reconstruction"
+    )
     #: maximum attack optimiser iterations per in-loop attack (the offline
     #: harness default of 300 is too slow to run inside every round)
-    attack_iterations: int = 30
+    attack_iterations: int = _field(30, help="attack optimiser iteration cap per attack")
 
     # ----- byzantine clients (see docs/in_loop_attacks.md) ----------------
     #: client ids behaving byzantinely (``None`` = every client is honest);
     #: must be set together with ``byzantine_mode``
-    byzantine_clients: Optional[Tuple[int, ...]] = None
+    byzantine_clients: Optional[Tuple[int, ...]] = _field(
+        None,
+        metavar="CLIENT",
+        help="client ids that misbehave every round (requires --byzantine-mode)",
+    )
     #: byzantine behaviour, one of :data:`BYZANTINE_MODES` (``scale``
     #: multiplies the uploaded update, ``sign_flip`` negates it,
     #: ``label_flip`` trains on complement-remapped labels)
-    byzantine_mode: Optional[str] = None
+    byzantine_mode: Optional[str] = _field(
+        None,
+        choices=BYZANTINE_MODES,
+        help="byzantine behaviour: 'scale' / 'sign_flip' corrupt the upload, "
+        "'label_flip' poisons the client's shard (see docs/in_loop_attacks.md)",
+    )
     #: multiplicative factor applied by ``byzantine_mode="scale"``
-    byzantine_scale: float = 10.0
+    byzantine_scale: float = _field(10.0, help="multiplier for --byzantine-mode scale (default 10)")
 
     # ----- baselines / extensions --------------------------------------
     #: fraction of parameters shared by the DSSGD baseline
@@ -232,53 +343,89 @@ class FederatedConfig:
     #: (0 disables compression; 0.3 keeps the largest 30% of update entries)
     compression_ratio: float = 0.0
     #: aggregation rule: ``fedsgd`` or ``fedavg``
-    aggregation: str = "fedsgd"
+    aggregation: str = _field("fedsgd", choices=("fedsgd", "fedavg"))
     #: pairwise-masking secure aggregation (Bonawitz et al.): each
     #: participant uploads its update plus pairwise-cancelling masks, so the
     #: server (and the in-loop adversary) only ever observes masked updates;
     #: requires ``aggregation="fedsgd"``
-    secure_aggregation: bool = False
+    secure_aggregation: bool = _field(
+        False,
+        help="mask uploads with pairwise secure aggregation (fedsgd only; the "
+        "masks cancel in the aggregate)",
+    )
     #: standard deviation of the pairwise masks (large = stronger hiding of
     #: the individual update; the aggregate is unaffected either way)
-    secure_mask_scale: float = 10.0
+    secure_mask_scale: float = _field(
+        10.0, help="stddev of the pairwise secure-aggregation masks (default 10)"
+    )
 
     # ----- execution -----------------------------------------------------
     #: client-execution backend: ``serial``, ``multiprocessing`` or ``fused``
-    executor: str = "serial"
+    executor: str = _field("serial", choices=EXECUTORS, help="client-execution backend (default: serial)")
     #: worker-pool size for the multiprocessing backend (``None`` = one per
     #: participating client, capped at the machine's CPU count)
-    num_workers: Optional[int] = None
+    num_workers: Optional[int] = _field(
+        None, flag="--workers", help="worker-pool size for --executor multiprocessing"
+    )
     #: client-state construction mode, one of :data:`CLIENT_STATE_MODES`
     #: (``auto`` = lazy at populations of :data:`LAZY_CLIENT_STATE_THRESHOLD`
     #: clients or more, eager below; bit-identical either way)
-    client_state: str = "auto"
+    client_state: str = _field(
+        "auto",
+        choices=CLIENT_STATE_MODES,
+        help="client materialisation: 'eager' builds all K shards up front, 'lazy' "
+        "derives only each round's cohort on demand; 'auto' (default) picks lazy "
+        "from 10k clients (numerics are identical — see docs/cross_device_scale.md)",
+    )
     #: clients per multiprocessing dispatch chunk (``None`` = split the
     #: cohort evenly, one chunk per worker); the global weights are
     #: serialised once per chunk
-    worker_chunk_size: Optional[int] = None
+    worker_chunk_size: Optional[int] = _field(
+        None, help="clients dispatched per multiprocessing task (default: cohort/workers)"
+    )
 
     # ----- bookkeeping ---------------------------------------------------
     #: global seed controlling data generation, partitioning, sampling, noise
-    seed: int = 0
+    seed: int = _field(0, help="global RNG seed")
     #: evaluate validation accuracy every this many rounds (1 = every round)
-    eval_every: int = 1
+    eval_every: int = _field(1, help="evaluate every this many rounds")
 
     def __post_init__(self) -> None:
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
+        for config_field in fields(self):
+            name, value = config_field.name, getattr(self, config_field.name)
+            if value is None:
+                if config_field.default is None:
+                    continue  # an optional knob left disabled
+                raise ValueError(f"{name} must not be None")
+            element, sequence = FIELD_TYPES[name]
+            if element in _NUMBER_KINDS and not sequence:
+                # config files are outside input: 2.5 rounds would only fail
+                # after set-up, and True clients would run silently
+                kind, noun = _NUMBER_KINDS[element]
+                if isinstance(value, bool) or not isinstance(value, kind):
+                    raise ValueError(f"{name} must be {noun}, got {value!r}")
+                if element is int:
+                    setattr(self, name, int(value))
+            choices = config_field.metadata.get("choices")
+            if choices is not None and value not in choices:
+                raise ValueError(f"unknown {name} {value!r}; expected one of {choices}")
         if self.num_clients <= 0:
             raise ValueError("num_clients must be positive")
         if not 0.0 < self.participation_fraction <= 1.0:
             raise ValueError("participation_fraction must lie in (0, 1]")
         if self.rounds <= 0:
             raise ValueError("rounds must be positive")
-        # NaN passes a bare ``<= 0`` test and would surface only as a NaN epsilon
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError("learning_rate must be positive and finite")
-        if not (math.isfinite(self.clipping_bound) and self.clipping_bound > 0):
-            raise ValueError("clipping_bound must be positive and finite")
-        if not (math.isfinite(self.noise_scale) and self.noise_scale >= 0):
-            raise ValueError("noise_scale must be non-negative and finite")
+        # NaN passes a bare ``<= 0`` test and would surface only as a NaN
+        # epsilon, non-finite weights or a non-JSON checkpoint
+        positive = ("learning_rate", "clipping_bound", "dirichlet_alpha", "straggler_deadline")
+        for name in positive + ("epsilon_budget", "byzantine_scale", "secure_mask_scale"):
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        for name in ("noise_scale", "quantity_skew_exponent"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be non-negative and finite, got {value!r}")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
         try:
@@ -297,27 +444,10 @@ class FederatedConfig:
             raise ValueError("compression_ratio must lie in [0, 1)")
         if not 0.0 < self.dssgd_share_fraction <= 1.0:
             raise ValueError("dssgd_share_fraction must lie in (0, 1]")
-        if self.aggregation not in ("fedsgd", "fedavg"):
-            raise ValueError("aggregation must be 'fedsgd' or 'fedavg'")
         if self.eval_every <= 0:
             raise ValueError("eval_every must be positive")
-        if self.partition not in PARTITION_STRATEGIES:
-            raise ValueError(
-                f"unknown partition {self.partition!r}; expected one of {PARTITION_STRATEGIES}"
-            )
-        if self.dirichlet_alpha <= 0:
-            raise ValueError("dirichlet_alpha must be positive")
-        if self.quantity_skew_exponent < 0:
-            raise ValueError("quantity_skew_exponent must be non-negative")
-        if self.client_sampling not in CLIENT_SAMPLING_SCHEMES:
-            raise ValueError(
-                f"unknown client_sampling {self.client_sampling!r}; "
-                f"expected one of {CLIENT_SAMPLING_SCHEMES}"
-            )
         if not 0.0 <= self.dropout_rate <= 1.0:
             raise ValueError("dropout_rate must lie in [0, 1]")
-        if self.straggler_deadline is not None and self.straggler_deadline <= 0:
-            raise ValueError("straggler_deadline must be positive (or None to disable)")
         if self.availability_cycle is not None and not 0.0 < self.availability_cycle <= 1.0:
             raise ValueError("availability_cycle must lie in (0, 1] (or None to disable)")
         if self.availability_period < 1:
@@ -326,26 +456,14 @@ class FederatedConfig:
             raise ValueError("churn_rate must lie in (0, 1) (or None to disable)")
         if self.device_classes is not None:
             classes = tuple(float(m) for m in self.device_classes)
-            if not classes or any(m <= 0 for m in classes):
+            if not classes or not all(math.isfinite(m) and m > 0 for m in classes):
                 raise ValueError(
-                    "device_classes must be a non-empty list of positive multipliers "
-                    "(or None to disable)"
+                    "device_classes must be a non-empty list of positive finite multipliers "
+                    f"(or None to disable), got {self.device_classes!r}"
                 )
             self.device_classes = classes
         if self.drift_rate is not None and not 0.0 < self.drift_rate <= 1.0:
             raise ValueError("drift_rate must lie in (0, 1] (or None to disable)")
-        if self.accountant not in ACCOUNTANT_NAMES:
-            raise ValueError(
-                f"unknown accountant {self.accountant!r}; expected one of {ACCOUNTANT_NAMES}"
-            )
-        if self.epsilon_budget is not None and not (
-            math.isfinite(self.epsilon_budget) and self.epsilon_budget > 0
-        ):
-            raise ValueError("epsilon_budget must be positive and finite (or None to disable)")
-        if self.attack is not None and self.attack not in ATTACK_KINDS:
-            raise ValueError(
-                f"unknown attack {self.attack!r}; expected one of {ATTACK_KINDS} (or None)"
-            )
         self.attack_rounds = normalize_attack_rounds(self.attack_rounds)
         if self.attack_clients is not None:
             clients = tuple(sorted({int(c) for c in self.attack_clients}))
@@ -361,11 +479,9 @@ class FederatedConfig:
                 f"attack_rounds {self.attack_rounds} schedules no attack within the "
                 f"{self.rounds}-round horizon"
             )
-        if self.attack is None and (
-            self.attack_rounds is not None
-            or self.attack_clients is not None
-            or self.attack_seeds != 1
-            or self.attack_iterations != 30
+        attack_fields = ("attack_rounds", "attack_clients", "attack_seeds", "attack_iterations")
+        if self.attack is None and any(
+            getattr(self, name) != _DEFAULTS[name] for name in attack_fields
         ):
             raise ValueError(
                 "attack_rounds/attack_clients/attack_seeds/attack_iterations require "
@@ -380,11 +496,6 @@ class FederatedConfig:
                 "byzantine_mode and byzantine_clients must be set together "
                 "(or both left None)"
             )
-        if self.byzantine_mode is not None and self.byzantine_mode not in BYZANTINE_MODES:
-            raise ValueError(
-                f"unknown byzantine_mode {self.byzantine_mode!r}; "
-                f"expected one of {BYZANTINE_MODES}"
-            )
         if self.byzantine_clients is not None:
             byzantine = tuple(sorted({int(c) for c in self.byzantine_clients}))
             if not byzantine:
@@ -394,24 +505,13 @@ class FederatedConfig:
                     f"byzantine_clients must lie in [0, {self.num_clients}), got {byzantine}"
                 )
             self.byzantine_clients = byzantine
-        if self.byzantine_scale <= 0:
-            raise ValueError("byzantine_scale must be positive")
-        if self.secure_mask_scale <= 0:
-            raise ValueError("secure_mask_scale must be positive")
         if self.secure_aggregation and self.aggregation != "fedsgd":
             raise ValueError(
                 "secure_aggregation masks shared *updates* and therefore requires "
                 "aggregation='fedsgd'"
             )
-        if self.executor not in EXECUTORS:
-            raise ValueError(f"unknown executor {self.executor!r}; expected one of {EXECUTORS}")
         if self.num_workers is not None and self.num_workers < 1:
             raise ValueError("num_workers must be at least 1 (or None for auto)")
-        if self.client_state not in CLIENT_STATE_MODES:
-            raise ValueError(
-                f"unknown client_state {self.client_state!r}; "
-                f"expected one of {CLIENT_STATE_MODES}"
-            )
         if self.worker_chunk_size is not None and self.worker_chunk_size < 1:
             raise ValueError("worker_chunk_size must be at least 1 (or None for auto)")
         # fail fast on typos in the dataset name
@@ -483,73 +583,49 @@ class FederatedConfig:
     def to_dict(self) -> dict:
         """Plain-JSON-serialisable dictionary of the config.
 
-        Fields added after the checkpoint format stabilised (``accountant``,
-        ``epsilon_budget``, the ``attack*`` family) are omitted while at their
-        defaults, so default runs keep emitting byte-identical checkpoints and
-        golden fixtures, and checkpoints written before those fields existed
-        still satisfy :meth:`from_dict` round-trip equality.
+        A field outside :data:`ALWAYS_SERIALISED_FIELDS` is omitted while it
+        equals its dataclass default, so default runs keep emitting
+        byte-identical checkpoints and golden fixtures, and checkpoints
+        written before such a field existed still satisfy :meth:`from_dict`
+        round-trip equality.
         """
-        payload = asdict(self)
-        if payload["accountant"] == "moments":
-            del payload["accountant"]
-        if payload["epsilon_budget"] is None:
-            del payload["epsilon_budget"]
-        # same convention for the cross-device-scale execution knobs: both
-        # modes are bit-identical, so defaults stay out of the payload and
-        # pre-scale checkpoints/fixtures keep their byte-exact form
-        if payload["client_state"] == "auto":
-            del payload["client_state"]
-        if payload["worker_chunk_size"] is None:
-            del payload["worker_chunk_size"]
-        for attack_field, default in (
-            ("attack", None),
-            ("attack_rounds", None),
-            ("attack_clients", None),
-            ("attack_seeds", 1),
-            ("attack_iterations", 30),
-        ):
-            if payload[attack_field] == default:
-                del payload[attack_field]
-        # threat-catalogue fields (byzantine clients, secure aggregation)
-        # follow the same convention: absent at defaults, so every honest run
-        # keeps its pre-catalogue byte-exact payload
-        for threat_field, default in (
-            ("byzantine_clients", None),
-            ("byzantine_mode", None),
-            ("byzantine_scale", 10.0),
-            ("secure_aggregation", False),
-            ("secure_mask_scale", 10.0),
-        ):
-            if payload[threat_field] == default:
-                del payload[threat_field]
-        # population-dynamics fields (diurnal cycle, churn, device classes,
-        # drift) — absent at defaults, so every pre-dynamics checkpoint and
-        # golden fixture keeps its byte-exact payload
-        for dynamics_field, default in (
-            ("availability_cycle", None),
-            ("availability_period", 24),
-            ("churn_rate", None),
-            ("device_classes", None),
-            ("drift_rate", None),
-        ):
-            if payload[dynamics_field] == default:
-                del payload[dynamics_field]
-        return payload
+        return {
+            name: value
+            for name, value in asdict(self).items()
+            if name in ALWAYS_SERIALISED_FIELDS or value != _DEFAULTS[name]
+        }
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "FederatedConfig":
         """Rebuild a config from :meth:`to_dict` output (or a YAML mapping)."""
-        data = dict(payload)
-        unknown = set(data) - set(cls.__dataclass_fields__)
+        unknown = set(payload) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown FederatedConfig fields: {sorted(unknown)}")
-        for tuple_field in (
-            "attack_rounds",
-            "attack_clients",
-            "byzantine_clients",
-            "device_classes",
-        ):
-            value = data.get(tuple_field)
-            if value is not None and not isinstance(value, str):
-                data[tuple_field] = tuple(value)
-        return cls(**data)
+        # __post_init__ turns the JSON lists back into tuples
+        return cls(**payload)
+
+
+def _element_type(hint) -> Tuple[type, bool]:
+    """``(element type, is_sequence)`` of a field annotation, ``Optional`` unwrapped.
+
+    A sequence field that also accepts a plain string (``attack_rounds``)
+    reads its elements as strings.
+    """
+    options = [arg for arg in get_args(hint) if arg is not type(None)]
+    if get_origin(hint) is not Union:
+        options = [hint]
+    for option in options:
+        if get_origin(option) is tuple:
+            return (str if str in options else get_args(option)[0]), True
+    return options[0], False
+
+
+#: ``field name -> (element type, is_sequence)`` resolved once from the
+#: annotations; drives the integer validation and the ``run`` CLI flags
+FIELD_TYPES: Dict[str, Tuple[type, bool]] = {
+    name: _element_type(hint) for name, hint in get_type_hints(FederatedConfig).items()
+}
+
+_DEFAULTS: Dict[str, object] = {
+    config_field.name: config_field.default for config_field in fields(FederatedConfig)
+}

@@ -40,7 +40,7 @@ from repro.privacy.ledger import AccountingContext, make_accountant
 from .availability import AvailabilityModel, DriftModel
 from .byzantine import ByzantineBehaviour
 from .client import FederatedClient, LazyClientRoster
-from .config import PRIVATE_METHODS, FederatedConfig
+from .config import PRIVATE_METHODS, RESUME_MUTABLE_FIELDS, FederatedConfig
 from .executor import client_id_seed_sequence, make_executor, spawn_client_seeds
 from .history import RoundSpool, round_result_from_payload, round_result_to_payload
 from .server import AttackRecord, FederatedServer, MIARecord, RoundResult
@@ -589,17 +589,14 @@ class FederatedSimulation:
                 f"expected {CHECKPOINT_FORMAT_VERSION}"
             )
         checkpoint_config = FederatedConfig.from_dict(state["config"])
-        if checkpoint_config.with_overrides(
-            executor=self.config.executor,
-            num_workers=self.config.num_workers,
-            rounds=self.config.rounds,
-            client_state=self.config.client_state,
-            worker_chunk_size=self.config.worker_chunk_size,
-        ) != self.config or self.config.rounds < checkpoint_config.rounds:
+        runtime = {name: getattr(self.config, name) for name in RESUME_MUTABLE_FIELDS}
+        if (
+            checkpoint_config.with_overrides(**runtime) != self.config
+            or self.config.rounds < checkpoint_config.rounds
+        ):
             raise ValueError(
-                "checkpoint config does not match this simulation's config "
-                "(only executor/num_workers/client_state/worker_chunk_size may "
-                "differ, and rounds may only grow)"
+                "checkpoint config does not match this simulation's config (only "
+                f"{'/'.join(RESUME_MUTABLE_FIELDS)} may differ, and rounds may only grow)"
             )
         # parse the history *before* touching any live state (weights, RNG,
         # spool): a malformed checkpoint must leave this simulation — and any
@@ -642,20 +639,21 @@ class FederatedSimulation:
     def from_checkpoint(
         cls,
         path: str,
-        executor: Optional[str] = None,
-        num_workers: Optional[int] = None,
-        rounds: Optional[int] = None,
-        client_state: Optional[str] = None,
-        worker_chunk_size: Optional[int] = None,
+        *,
         history_spool: Optional[str] = None,
         history_tail: int = 64,
+        **overrides,
     ) -> "FederatedSimulation":
         """Rebuild a simulation from a checkpoint and position it to resume.
 
-        ``executor``, ``num_workers``, ``client_state`` and
-        ``worker_chunk_size`` may override the checkpointed values — they are
-        runtime choices that do not affect the numerics (both backends and
-        both client-state modes consume identical RNG streams).
+        ``overrides`` may replace the checkpointed value of any field in
+        :data:`~repro.federated.config.RESUME_MUTABLE_FIELDS` (``None`` keeps
+        the checkpoint's value); any other field raises ``ValueError``,
+        because the checkpoint pins it.  The execution backend
+        (``executor``, ``num_workers``, ``client_state``,
+        ``worker_chunk_size``) is a runtime choice that does not affect the
+        numerics (both backends and both client-state modes consume
+        identical RNG streams).
         ``history_spool`` / ``history_tail`` stream the resumed history to a
         fresh disk spool (see docs/cross_device_scale.md).  ``rounds`` may
         extend the run ("resume and keep going"); it is applied *before* the
@@ -667,27 +665,22 @@ class FederatedSimulation:
         were trained with; extending a decay run is inherently a different
         experiment from a fresh long one.)
         """
+        pinned = sorted(set(overrides) - set(RESUME_MUTABLE_FIELDS))
+        if pinned:
+            raise ValueError(
+                f"the checkpoint pins {', '.join(pinned)}; a resume may only change "
+                f"{', '.join(RESUME_MUTABLE_FIELDS)}"
+            )
         with open(path) as handle:
             state = json.load(handle)
         config = FederatedConfig.from_dict(state["config"])
-        overrides = {}
-        if executor is not None:
-            overrides["executor"] = executor
-        if num_workers is not None:
-            overrides["num_workers"] = num_workers
-        if client_state is not None:
-            overrides["client_state"] = client_state
-        if worker_chunk_size is not None:
-            overrides["worker_chunk_size"] = worker_chunk_size
-        if rounds is not None:
-            if rounds < config.rounds:
-                raise ValueError(
-                    f"rounds may only extend the checkpointed run "
-                    f"({rounds} < {config.rounds})"
-                )
-            overrides["rounds"] = rounds
-        if overrides:
-            config = config.with_overrides(**overrides)
+        overrides = {name: value for name, value in overrides.items() if value is not None}
+        if overrides.get("rounds", config.rounds) < config.rounds:
+            raise ValueError(
+                f"rounds may only extend the checkpointed run "
+                f"({overrides['rounds']} < {config.rounds})"
+            )
+        config = config.with_overrides(**overrides)
         # construct WITHOUT the spool: the constructor's RoundSpool truncates
         # its path on open, which would destroy an existing spool before the
         # restore is known to succeed (and leave two write handles on the

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 
 import pytest
 
-from repro.cli import load_config_file, main
+from repro.cli import build_parser, load_config_file, main
 from repro.experiments.harness import quick_config
 from repro.federated import FederatedSimulation
 
@@ -396,8 +397,91 @@ def test_attack_rounds_flag_accepts_every_k_and_rejects_junk(tmp_path):
 
 
 def test_attack_flags_without_attack_kind_are_rejected(tmp_path):
-    with pytest.raises((SystemExit, ValueError)):
+    with pytest.raises(SystemExit, match="attack_rounds"):
         main(_run_args(tmp_path, "--attack-rounds", "0"))
+    with pytest.raises(SystemExit, match="attack_seeds"):
+        main(_run_args(tmp_path, "--attack-seeds", "2"))
+
+
+def test_invalid_config_file_values_exit_with_the_field_name(tmp_path):
+    config_path = tmp_path / "bad.json"
+    for payload, field in (({"rounds": 2.5}, "rounds"), ({"num_clients": True}, "num_clients"),
+                           ({"straggler_deadline": 1e999}, "straggler_deadline")):
+        config_path.write_text(json.dumps(payload))
+        with pytest.raises(SystemExit, match=field):
+            main(["run", "--config", str(config_path)])
+
+
+#: the ``run`` subcommand's flags as ``(option strings, dest, type, nargs,
+#: choices, default)``; config flags are derived from FederatedConfig, so a
+#: field that gains or loses a flag, or a flag that changes shape, shows here
+RUN_FLAGS = [
+    (("--accountant",), "accountant", None, None, ("moments", "heterogeneous"), None),
+    (("--attack",), "attack", None, None, ("leakage", "membership", "adaptive"), None),
+    (("--attack-clients",), "attack_clients", "int", "+", None, None),
+    (("--attack-iterations",), "attack_iterations", "int", None, None, None),
+    (("--attack-rounds",), "attack_rounds", None, "+", None, None),
+    (("--attack-seeds",), "attack_seeds", "int", None, None, None),
+    (("--availability-cycle",), "availability_cycle", "float", None, None, None),
+    (("--availability-period",), "availability_period", "int", None, None, None),
+    (("--byzantine-clients",), "byzantine_clients", "int", "+", None, None),
+    (("--byzantine-mode",), "byzantine_mode", None, None, ("scale", "sign_flip", "label_flip"), None),
+    (("--byzantine-scale",), "byzantine_scale", "float", None, None, None),
+    (("--checkpoint",), "checkpoint", None, None, None, None),
+    (("--checkpoint-every",), "checkpoint_every", "int", None, None, 1),
+    (("--churn-rate",), "churn_rate", "float", None, None, None),
+    (("--client-sampling",), "client_sampling", None, None, ("fixed", "poisson"), None),
+    (("--client-state",), "client_state", None, None, ("auto", "eager", "lazy"), None),
+    (("--clients",), "clients", "int", None, None, None),
+    (("--clipping-bound",), "clipping_bound", "float", None, None, None),
+    (("--config",), "config", None, None, None, None),
+    (("--dataset",), "dataset", None, None, None, None),
+    (("--device-classes",), "device_classes", "float", "+", None, None),
+    (("--dirichlet-alpha",), "dirichlet_alpha", "float", None, None, None),
+    (("--drift",), "drift", "float", None, None, None),
+    (("--dropout",), "dropout", "float", None, None, None),
+    (("--epsilon-budget",), "epsilon_budget", "float", None, None, None),
+    (("--eval-every",), "eval_every", "int", None, None, None),
+    (("--executor",), "executor", None, None, ("serial", "multiprocessing", "fused"), None),
+    (("--history-spool",), "history_spool", None, None, None, None),
+    (("--history-tail",), "history_tail", "int", None, None, 64),
+    (("--method",), "method", None, None,
+     ("nonprivate", "fed_sdp", "fed_cdp", "fed_cdp_decay", "dssgd"), None),
+    (("--noise-scale",), "noise_scale", "float", None, None, None),
+    (("--output",), "output", None, None, None, None),
+    (("--participation",), "participation", "float", None, None, None),
+    (("--partition",), "partition", None, None, ("shards", "iid", "dirichlet", "quantity_skew"), None),
+    (("--profile",), "profile", None, None, ("bench", "quick"), None),
+    (("--quantity-skew-exponent",), "quantity_skew_exponent", "float", None, None, None),
+    (("--resume",), "resume", None, 0, None, False),
+    (("--rounds",), "rounds", "int", None, None, None),
+    (("--secure-aggregation",), "secure_aggregation", None, 0, None, None),
+    (("--secure-mask-scale",), "secure_mask_scale", "float", None, None, None),
+    (("--seed",), "seed", "int", None, None, None),
+    (("--straggler-deadline",), "straggler_deadline", "float", None, None, None),
+    (("--verbose",), "verbose", None, 0, None, False),
+    (("--worker-chunk-size",), "worker_chunk_size", "int", None, None, None),
+    (("--workers",), "workers", "int", None, None, None),
+]
+
+
+def test_run_subcommand_flag_surface_is_pinned():
+    parser = build_parser()
+    subcommands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    run = subcommands.choices["run"]
+    flags = sorted(
+        (
+            tuple(action.option_strings),
+            action.dest,
+            getattr(action.type, "__name__", None),
+            action.nargs,
+            None if action.choices is None else tuple(action.choices),
+            action.default,
+        )
+        for action in run._actions
+        if action.dest != "help"
+    )
+    assert flags == RUN_FLAGS
 
 
 def test_resume_rejects_conflicting_attack_flags(tmp_path):

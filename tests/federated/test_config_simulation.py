@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.experiments.harness import quick_config
 from repro.federated import FederatedConfig, FederatedServer, FederatedSimulation
+from repro.federated.config import ALWAYS_SERIALISED_FIELDS, FIELD_TYPES
 from repro.federated.client import FederatedClient
 from repro.data import Dataset
 
@@ -61,11 +64,105 @@ def test_config_validation_rejects_bad_values(kwargs):
 
 
 @pytest.mark.parametrize("field", ["learning_rate", "clipping_bound", "noise_scale",
-                                   "epsilon_budget"])
+                                   "epsilon_budget", "dirichlet_alpha",
+                                   "quantity_skew_exponent", "straggler_deadline",
+                                   "byzantine_scale", "secure_mask_scale"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 def test_config_validation_rejects_non_finite_privacy_inputs(field, value):
     with pytest.raises(ValueError, match=field):
         FederatedConfig(dataset="mnist", method="fed_cdp", **{field: value})
+
+
+@pytest.mark.parametrize("classes", [(1.0, float("nan")), (float("inf"),), (2.0, float("-inf"))])
+def test_config_validation_rejects_non_finite_device_classes(classes):
+    with pytest.raises(ValueError, match="device_classes"):
+        FederatedConfig(dataset="mnist", method="fed_cdp", device_classes=classes)
+
+
+#: every scalar integer field; pinned here so a field that silently loses its
+#: integer check (or a new one that lacks it) shows up as a diff
+INTEGER_FIELDS = (
+    "num_clients", "rounds", "batch_size", "local_iterations", "num_train_examples",
+    "num_val_examples", "data_per_client", "availability_period", "attack_seeds",
+    "attack_iterations", "num_workers", "worker_chunk_size", "seed", "eval_every",
+)
+
+
+def test_integer_fields_are_the_int_annotated_fields():
+    annotated = {name for name, (element, sequence) in FIELD_TYPES.items()
+                 if element is int and not sequence}
+    assert annotated == set(INTEGER_FIELDS)
+
+
+@pytest.mark.parametrize("field", INTEGER_FIELDS)
+@pytest.mark.parametrize("value", [2.5, 3.0, True, "3"])
+def test_integer_fields_reject_non_integers(field, value):
+    # config files are outside input: {"rounds": 2.5} used to crash only in
+    # range() after set-up, and {"num_clients": true} ran silently
+    with pytest.raises(ValueError, match=field):
+        FederatedConfig(dataset="mnist", method="fed_cdp", attack="leakage", **{field: value})
+
+
+@pytest.mark.parametrize("field", INTEGER_FIELDS)
+def test_integer_fields_accept_any_integral_as_int(field):
+    config = FederatedConfig(dataset="mnist", method="fed_cdp", attack="leakage",
+                             **{field: np.int64(3)})
+    assert getattr(config, field) == 3
+    assert type(getattr(config, field)) is int
+
+
+@pytest.mark.parametrize("field", ["learning_rate", "dropout_rate", "straggler_deadline"])
+@pytest.mark.parametrize("value", ["0.5", True])
+def test_float_fields_reject_non_numbers(field, value):
+    with pytest.raises(ValueError, match=field):
+        FederatedConfig(dataset="mnist", method="fed_cdp", **{field: value})
+
+
+def _non_default_value(config_field):
+    """A valid value different from the field's default, derived from its type."""
+    element, sequence = FIELD_TYPES[config_field.name]
+    choices = config_field.metadata.get("choices")
+    if choices is not None:
+        return next(choice for choice in choices if choice != config_field.default)
+    if sequence:
+        return (element(1),)
+    if element is bool:
+        return not config_field.default
+    if config_field.default is None:
+        return element(1) if element is int else 0.5
+    return config_field.default + 1 if element is int else config_field.default * 2
+
+
+#: fields that are only valid together with another non-default field
+_COMPANIONS = {
+    "attack_": {"attack": "leakage"},
+    "byzantine_": {"byzantine_mode": "scale", "byzantine_clients": (0,)},
+}
+
+
+@pytest.mark.parametrize(
+    "config_field",
+    [f for f in dataclasses.fields(FederatedConfig) if f.name not in ALWAYS_SERIALISED_FIELDS],
+    ids=lambda f: f.name,
+)
+def test_to_dict_omits_exactly_the_default_optional_fields(config_field):
+    name = config_field.name
+    assert name not in FederatedConfig(dataset="mnist").to_dict()
+    overrides = {}
+    for prefix, companions in _COMPANIONS.items():
+        if name.startswith(prefix):
+            overrides.update(companions)
+    overrides[name] = _non_default_value(config_field)
+    config = FederatedConfig(dataset="mnist", **overrides)
+    payload = config.to_dict()
+    assert set(overrides) <= set(payload)
+    assert FederatedConfig.from_dict(payload) == config
+
+
+def test_to_dict_always_writes_the_v1_fields():
+    payload = FederatedConfig().to_dict()
+    assert len(ALWAYS_SERIALISED_FIELDS) == 30
+    assert set(payload) == ALWAYS_SERIALISED_FIELDS
 
 
 @pytest.mark.parametrize(

@@ -449,6 +449,22 @@ def test_checkpoint_extend_rounds_respans_decay_schedule(tmp_path):
         FederatedSimulation.from_checkpoint(checkpoint, rounds=1)  # shrinking is rejected
 
 
+def test_from_checkpoint_rejects_overriding_a_pinned_field(tmp_path):
+    checkpoint = str(tmp_path / "ck.json")
+    FederatedSimulation(quick_config("cancer", "nonprivate", rounds=1)).run(checkpoint_path=checkpoint)
+    with pytest.raises(ValueError, match="seed"):
+        FederatedSimulation.from_checkpoint(checkpoint, seed=3)
+    with pytest.raises(ValueError, match="noise_scale"):
+        FederatedSimulation.from_checkpoint(checkpoint, executor="serial", noise_scale=1.0)
+    # the resume-mutable fields stay free, and None keeps the checkpoint's value
+    with FederatedSimulation.from_checkpoint(
+        checkpoint, rounds=2, executor=None, num_workers=None, client_state="lazy", worker_chunk_size=1
+    ) as resumed:
+        assert resumed.config.rounds == 2
+        assert resumed.config.executor == "serial"
+        assert resumed.config.client_state == "lazy"
+
+
 def test_simulation_rejects_custom_trainer_with_multiprocessing():
     config = quick_config("cancer", "nonprivate", executor="multiprocessing", num_workers=2)
     serial = FederatedSimulation(quick_config("cancer", "nonprivate"))
