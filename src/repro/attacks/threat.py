@@ -91,9 +91,7 @@ class GradientLeakageThreat:
             # Fed-CDP (and decay): every per-example gradient is already noisy
             # before it is averaged, at the client and hence also at the server.
             # The whole batch goes through the vectorized stacked pipeline.
-            stack, _ = trainer.compute_per_example_gradient_stack(features, labels)
-            sanitized, _ = trainer.sanitize_per_example_stack(stack, round_index, rng)
-            observed = [layer.mean(axis=0) for layer in sanitized]
+            observed, _, _ = trainer.sanitized_stack_mean(features, labels, round_index, rng)
         else:
             observed, _ = trainer.compute_batch_gradient(features, labels)
             if isinstance(trainer, FedSDPTrainer):

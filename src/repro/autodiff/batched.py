@@ -150,6 +150,26 @@ class BatchedGraph:
             self._batched_flags.append(batched)
 
         self._output_slots = [slot_of[id(out)] for out in outputs]
+        # Liveness: a replay pass drops each value right after its last
+        # reader runs, so it holds only the live intermediates; outputs are
+        # kept.  The graph is walked back from the outputs, so every other
+        # slot has a reader, and only op steps read: each op step carries the
+        # slots that die once it has run.
+        last_reader: Dict[int, int] = {}
+        for slot, step in enumerate(self._steps):
+            if step[0] == _OP:
+                for parent in step[3]:
+                    last_reader[parent] = slot
+        for slot in self._output_slots:
+            last_reader.pop(slot, None)
+        dead_after: Dict[int, List[int]] = {}
+        for slot, reader in last_reader.items():
+            dead_after.setdefault(reader, []).append(slot)
+        self._steps = [
+            step + (tuple(dead_after.get(slot, ())),) if step[0] == _OP else step
+            for slot, step in enumerate(self._steps)
+        ]
+
         #: whether each output carries the batch axis (static property of the
         #: graph: an output is batched iff a batched input reaches it)
         self.output_batched: List[bool] = [self._batched_flags[s] for s in self._output_slots]
@@ -218,9 +238,11 @@ class BatchedGraph:
         for slot, step in enumerate(self._steps):
             kind = step[0]
             if kind == _OP:
-                _, rule, op_args, parent_slots, out_shape = step
+                _, rule, op_args, parent_slots, out_shape, dead = step
                 inputs = tuple((values[s], flags[s]) for s in parent_slots)
                 values[slot] = rule(op_args, inputs, out_shape)
+                for s in dead:
+                    values[s] = None
             elif kind == _BATCHED:
                 values[slot] = np.asarray(feeds[step[1]], dtype=np.float64)
             elif kind == _PARAM:

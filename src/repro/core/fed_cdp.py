@@ -72,25 +72,39 @@ class FedCDPTrainer(LocalTrainerBase):
         mechanism = GaussianMechanism(self.config.noise_scale, bound)
         return mechanism.add_noise_to_list(clipped, rng=rng)
 
-    def sanitize_per_example_stack(
+    def sanitized_stack_mean(
         self,
-        stack: Sequence[np.ndarray],
+        features: np.ndarray,
+        labels: np.ndarray,
         round_index: int,
         rng: np.random.Generator,
-    ) -> Tuple[List[np.ndarray], List[np.ndarray]]:
-        """Clip and noise a whole batch's stacked per-example gradients at once.
+    ) -> Tuple[List[np.ndarray], float, List[np.ndarray]]:
+        """Batch mean of the clipped, noised per-example gradients of a batch.
 
-        Vectorized equivalent of calling :meth:`sanitize_per_example_gradient`
-        on every example: broadcasted clipping per layer, one flat Gaussian
-        draw for the entire ``(B, total_params)`` stack (consuming the RNG
-        stream in the same order as the looped path).  Returns
-        ``(sanitized_stack, pre_clip_layer_norms)``; the norms are reused for
-        the Figure-3 raw-norm telemetry instead of a second pass.
+        Vectorized equivalent of averaging :meth:`sanitize_per_example_gradient`
+        over the examples: the per-example stack is clipped per layer in one
+        broadcast and noised with one flat ``(B, total_params)`` draw, which
+        consumes ``rng`` in the looped path's order.  Nothing else here
+        draws from ``rng``, so a large draw runs on the noise thread while
+        the per-example replay and the clip run on this one
+        (:meth:`GaussianMechanism.start_stack_noise`); the stream, and so
+        every value, is the same either way.  Returns ``(mean_gradient,
+        mean_loss, pre_clip_layer_norms)``; the norms feed the Figure-3
+        raw-norm telemetry without a second pass.
         """
         bound = self.clipping.bound_for_round(round_index)
-        clipped, layer_norms = clip_per_example_stack(stack, bound)
         mechanism = GaussianMechanism(self.config.noise_scale, bound)
-        return mechanism.add_noise_to_stack(clipped, rng=rng), layer_norms
+        num_params = sum(param.data.size for param in self.model.parameters())
+        pending = mechanism.start_stack_noise((len(features), num_params), rng)
+        try:
+            stack, mean_loss = self.compute_per_example_gradient_stack(features, labels)
+            clipped, layer_norms = clip_per_example_stack(stack, bound)
+        except BaseException:
+            if pending is not None:
+                pending.exception()  # rng is the caller's again only once the draw is done
+            raise
+        sanitized = mechanism.add_noise_to_stack(clipped, rng=rng, pending=pending)
+        return [layer.mean(axis=0) for layer in sanitized], mean_loss, layer_norms
 
     def _sanitized_batch_gradient(
         self,
@@ -99,12 +113,12 @@ class FedCDPTrainer(LocalTrainerBase):
         round_index: int,
         rng: np.random.Generator,
     ) -> Tuple[List[np.ndarray], float, float]:
-        stack, mean_loss = self.compute_per_example_gradient_stack(features, labels)
         if self.per_example_mode == "looped":
             # True end-to-end reference: per-example Python-loop sanitisation,
             # exactly what the paper's per-example pipeline (and the seed
             # implementation) did.  Table III's paper-shape benchmark times
             # this path.
+            stack, mean_loss = self.compute_per_example_gradient_stack(features, labels)
             per_example = stack_to_example_lists(stack)
             raw_norm = float(np.mean([self._global_norm(example) for example in per_example]))
             sanitized_examples = [
@@ -116,9 +130,8 @@ class FedCDPTrainer(LocalTrainerBase):
                 for layer in range(len(sanitized_examples[0]))
             ]
             return averaged, mean_loss, raw_norm
-        sanitized, layer_norms = self.sanitize_per_example_stack(stack, round_index, rng)
+        averaged, mean_loss, layer_norms = self.sanitized_stack_mean(features, labels, round_index, rng)
         raw_norm = float(np.mean(per_example_global_norms(layer_norms=layer_norms)))
-        averaged = [layer.mean(axis=0) for layer in sanitized]
         return averaged, mean_loss, raw_norm
 
     def _postprocess_update(

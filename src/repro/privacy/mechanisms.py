@@ -4,17 +4,50 @@ Implements the Gaussian mechanism of Definition 2 and its calibration rule
 (Lemma 1): noise with standard deviation ``sigma * S`` added to a function of
 L2-sensitivity ``S`` yields ``(epsilon, delta)``-DP when
 ``sigma^2 > 2 log(1.25 / delta) / epsilon^2``.
+
+Large per-example noise draws (Fed-CDP's ``(B, P)`` stack) can run on one
+worker thread while the caller computes what the noise is added to; see
+:meth:`GaussianMechanism.start_stack_noise`.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 __all__ = ["GaussianMechanism", "calibrate_sigma", "epsilon_for_sigma"]
+
+#: Smallest stacked noise draw (``B * P`` normals, 1 MiB of float64) that
+#: :meth:`GaussianMechanism.start_stack_noise` hands to the worker thread.
+#: Below it the thread handoff and the GIL reacquisition cost more than the
+#: draw they hide.
+OFFLOAD_MIN_DRAWS = 1 << 17
+
+_noise_worker: Optional[ThreadPoolExecutor] = None
+
+
+def _noise_executor() -> ThreadPoolExecutor:
+    """The process's single noise-drawing thread, started on first use."""
+    global _noise_worker
+    if _noise_worker is None:
+        _noise_worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="repro-noise")
+    return _noise_worker
+
+
+def _forget_noise_executor() -> None:
+    # A forked child inherits the executor's idle-thread bookkeeping but not
+    # its thread, so a submit there would queue work nobody runs.
+    global _noise_worker
+    _noise_worker = None
+
+
+if hasattr(os, "register_at_fork"):  # absent where processes cannot fork
+    os.register_at_fork(after_in_child=_forget_noise_executor)
 
 
 def calibrate_sigma(epsilon: float, delta: float) -> float:
@@ -89,8 +122,42 @@ class GaussianMechanism:
         rng = rng if rng is not None else np.random.default_rng()
         return [self.add_noise(value, rng=rng) for value in values]
 
+    def fill_noise(self, out: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """Overwrite the float64 array ``out`` with noise and return it.
+
+        Bit for bit (sign included) what ``rng.normal(0.0, self.stddev,
+        out.shape)`` returns, and it leaves ``rng`` in the same state: numpy
+        computes that as ``0.0 + stddev * z`` over the same standard normals.
+        """
+        rng.standard_normal(out=out)
+        out *= self.stddev
+        return out
+
+    def start_stack_noise(
+        self, shape: Tuple[int, int], rng: np.random.Generator
+    ) -> Optional["Future[np.ndarray]"]:
+        """Start drawing :meth:`add_noise_to_stack`'s ``(B, P)`` noise in the background.
+
+        When the draw has at least :data:`OFFLOAD_MIN_DRAWS` normals, the
+        buffer is allocated here, on the calling thread (a buffer allocated
+        on the worker would live in that thread's own malloc arena), and
+        filled by :meth:`fill_noise` on the process's noise thread; numpy's
+        bulk fill releases the GIL.  Returns the in-flight draw, to be passed
+        to :meth:`add_noise_to_stack`, or ``None`` when the draw is small
+        enough to be left to that call.  Until the draw completes nothing
+        else may use ``rng``, and the caller must wait for it (e.g.
+        ``pending.exception()``) even when it abandons the step.
+        """
+        if self.stddev == 0.0 or shape[0] * shape[1] < OFFLOAD_MIN_DRAWS:
+            return None
+        buffer = np.empty(shape, dtype=np.float64)
+        return _noise_executor().submit(self.fill_noise, buffer, rng)
+
     def add_noise_to_stack(
-        self, stack: Sequence[np.ndarray], rng: Optional[np.random.Generator] = None
+        self,
+        stack: Sequence[np.ndarray],
+        rng: Optional[np.random.Generator] = None,
+        pending: Optional["Future[np.ndarray]"] = None,
     ) -> List[np.ndarray]:
         """Noise a stacked per-example representation in a single RNG call.
 
@@ -102,20 +169,34 @@ class GaussianMechanism:
         :meth:`add_noise_to_list` on each example's per-layer gradients —
         a fixed seed yields a bitwise-identical sanitized update on either
         path.
+
+        ``pending`` is that same draw already started by
+        :meth:`start_stack_noise`; it is waited for instead of drawing from
+        ``rng``.  The returned arrays are views of the noise buffer, into
+        which ``stack`` has been added in place.
         """
-        rng = rng if rng is not None else np.random.default_rng()
         if self.stddev == 0.0:
             return [np.array(value, dtype=np.float64, copy=True) for value in stack]
         if not stack:
             return []
         batch = stack[0].shape[0]
         sizes = [int(np.prod(value.shape[1:], dtype=np.int64)) for value in stack]
-        flat_noise = rng.normal(0.0, self.stddev, size=(batch, int(sum(sizes))))
+        shape = (batch, int(sum(sizes)))
+        if pending is not None:
+            flat_noise = pending.result()
+            if flat_noise.shape != shape:
+                raise ValueError(
+                    f"pending noise has shape {flat_noise.shape}; the stack needs {shape}"
+                )
+        else:
+            rng = rng if rng is not None else np.random.default_rng()
+            flat_noise = self.fill_noise(np.empty(shape, dtype=np.float64), rng)
         noised: List[np.ndarray] = []
         offset = 0
         for value, size in zip(stack, sizes):
             noise = flat_noise[:, offset : offset + size].reshape(value.shape)
-            noised.append(np.asarray(value, dtype=np.float64) + noise)
+            noise += value
+            noised.append(noise)
             offset += size
         return noised
 
