@@ -1,16 +1,13 @@
-"""Micro-benchmark: looped vs. per-layer rules vs. batched-graph per-example gradients.
+"""Micro-benchmark: looped vs. batched-graph per-example gradients.
 
-Times the three per-example gradient engines of :mod:`repro.nn.perexample`
+Times the two per-example gradient engines of :mod:`repro.nn.perexample`
 against each other across batch sizes and both of the paper's model families:
 
 * ``looped``  — :func:`per_example_gradients_looped`, one forward/backward per
   example (the seed implementation of the Fed-CDP hot path, kept as ground
   truth);
-* ``rules``   — :func:`per_example_gradients_rules`, the hand-written
-  per-layer einsum rules (the previous fast path; its conv rule re-runs one
-  im2col backward per example, which is why its CNN speedup saturates);
 * ``batched`` — :func:`per_example_gradients_batched`, the batched-graph
-  replay that is now the default engine for dense *and* conv models.
+  replay that is the engine for dense *and* conv models.
 
 The trajectory is written to ``BENCH_perexample.json``.  The CNN operating
 point is the quick-profile scale the simulation actually trains at in the
@@ -38,15 +35,10 @@ from typing import Callable, Dict, List
 import numpy as np
 
 from repro.nn import build_image_cnn, build_tabular_mlp
-from repro.nn.perexample import (
-    per_example_gradients_batched,
-    per_example_gradients_looped,
-    per_example_gradients_rules,
-)
+from repro.nn.perexample import per_example_gradients_batched, per_example_gradients_looped
 
 ENGINES = {
     "looped": per_example_gradients_looped,
-    "rules": per_example_gradients_rules,
     "batched": per_example_gradients_batched,
 }
 
@@ -76,16 +68,14 @@ def _bench_model(
         row: Dict[str, float] = {"model": name, "batch_size": batch}
         for engine, fn in ENGINES.items():
             row[f"{engine}_ms"] = _time(lambda: fn(model, features, labels), repeats) * 1e3
-        for engine in ("rules", "batched"):
-            row[f"{engine}_speedup"] = (
-                row["looped_ms"] / row[f"{engine}_ms"] if row[f"{engine}_ms"] > 0 else float("inf")
-            )
-        # legacy alias read by older trend tooling: the default engine's speedup
+        row["batched_speedup"] = (
+            row["looped_ms"] / row["batched_ms"] if row["batched_ms"] > 0 else float("inf")
+        )
+        # legacy alias read by older trend tooling: the engine's speedup
         row["speedup"] = row["batched_speedup"]
         rows.append(row)
         print(
             f"{name:>4} B={batch:<4d} looped {row['looped_ms']:9.2f} ms   "
-            f"rules {row['rules_ms']:8.2f} ms ({row['rules_speedup']:5.1f}x)   "
             f"batched {row['batched_ms']:8.2f} ms ({row['batched_speedup']:5.1f}x)"
         )
     return rows

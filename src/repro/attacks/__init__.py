@@ -8,11 +8,7 @@ from .adaptive import (
     tune_attack_budget,
 )
 from .metrics import attack_success_rate, mean_attack_iterations, psnr, reconstruction_distance
-from .multistart import (
-    MultiRestartReconstruction,
-    MultiRestartResult,
-    supports_vectorized_restarts,
-)
+from .multistart import MultiRestartReconstruction, MultiRestartResult
 from .objectives import (
     OBJECTIVE_KINDS,
     build_matching_loss,
@@ -41,7 +37,6 @@ __all__ = [
     "GradientReconstructionAttack",
     "MultiRestartReconstruction",
     "MultiRestartResult",
-    "supports_vectorized_restarts",
     "AttackSchedule",
     "ATTACK_DOMAIN",
     "MEMBERSHIP_ATTACK_DOMAIN",

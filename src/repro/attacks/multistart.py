@@ -28,9 +28,10 @@ This replaces the PR-5 dense-rule construction, which hand-assembled
 per-restart L2 losses from ``Dense``-layer outer products and therefore
 excluded conv models, the cosine objective and the TV prior — all of which
 now run vectorized.  The looped evaluation of the same joint objective is
-kept behind the ``force_looped`` debug flag (and as the fallback for models
-outside the traceable family) and is regression-tested against the batched
-path.
+kept as the fallback for models outside the traceable family
+(:func:`repro.nn.perexample.is_traceable`) and is regression-tested against
+the batched path.  Every supported objective and prior is composed from
+replayable primitives, so the model alone decides which path runs.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from scipy import optimize
 
 from repro.autodiff import BatchedGraph, Tensor, grad, logsumexp, mul, tracing, tsum
 from repro.nn.models import Sequential
-from repro.nn.perexample import has_per_example_rules
+from repro.nn.perexample import is_traceable
 
 from .metrics import psnr as compute_psnr
 from .metrics import reconstruction_distance
@@ -54,23 +55,7 @@ from .seeds import make_seed
 __all__ = [
     "MultiRestartResult",
     "MultiRestartReconstruction",
-    "supports_vectorized_restarts",
 ]
-
-
-def supports_vectorized_restarts(model, config: AttackConfig) -> bool:
-    """Whether the batched-graph trace path applies to ``model`` and ``config``.
-
-    The requirement is purely structural: a flat
-    :class:`~repro.nn.models.Sequential` whose parameterised layers are
-    traceable (the same condition as
-    :func:`repro.nn.perexample.has_per_example_rules`, i.e. ``Dense``,
-    ``Conv2D`` and parameter-free layers).  Every supported objective —
-    including the cosine loss and the total-variation prior — is composed
-    from replayable primitives, so ``config`` no longer restricts the path.
-    """
-    del config  # every supported objective / prior is traceable
-    return has_per_example_rules(model)
 
 
 @dataclass
@@ -102,22 +87,11 @@ class MultiRestartResult:
 
 
 class MultiRestartReconstruction:
-    """Reconstruct one private example from R dummy seeds in one optimisation.
+    """Reconstruct one private example from R dummy seeds in one optimisation."""
 
-    ``force_looped`` forces the looped evaluation of the joint objective even
-    for models the batched path supports — a debugging escape hatch (and the
-    reference the batched path is regression-tested against).
-    """
-
-    def __init__(
-        self,
-        model: Sequential,
-        config: Optional[AttackConfig] = None,
-        force_looped: bool = False,
-    ) -> None:
+    def __init__(self, model: Sequential, config: Optional[AttackConfig] = None) -> None:
         self.model = model
         self.config = config if config is not None else AttackConfig()
-        self.force_looped = bool(force_looped)
         # the looped fallback reuses the single-restart objective machinery
         self._single = GradientReconstructionAttack(model, self.config)
         # single-slot trace cache: (key, BatchedGraph, num_classes, pinned
@@ -258,7 +232,7 @@ class MultiRestartReconstruction:
         example_size = int(np.prod(example_shape))
         bounds = [(low, high)] * (restarts * example_size)
 
-        vectorized = supports_vectorized_restarts(self.model, config) and not self.force_looped
+        vectorized = is_traceable(self.model)
         evaluate = self._objective_vectorized if vectorized else self._objective_looped
 
         if config.objective == "l2":

@@ -15,14 +15,12 @@ trivially, ``matmul`` as a batched GEMM, reductions per-slice), slice ``b`` of
 every replayed value is exactly what the recorded computation would produce
 for example ``b`` alone — which turns one trace of "loss and parameter
 gradients of a single example" into per-example gradients for a whole batch
-in a single fused pass.  Three consumers build on this:
+in a single pass.  Two consumers build on this:
 
 * :func:`repro.nn.perexample.per_example_gradients_batched` — the Fed-CDP
   per-example clipping hot path for dense *and* conv models;
 * :mod:`repro.attacks.multistart` — multi-restart gradient inversion as one
-  batched L-BFGS objective, for every supported model and objective;
-* the opt-in ``fused`` executor of :mod:`repro.federated.executor` — stacking
-  several clients' minibatches into one replay per round.
+  batched L-BFGS objective, for every supported model and objective.
 
 Leaves of the recorded graph are classified at compile time:
 

@@ -25,7 +25,6 @@ used by the threat harness in :mod:`repro.attacks.threat`:
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -37,9 +36,7 @@ from repro.federated.config import FederatedConfig
 from repro.nn import CrossEntropyLoss, Sequential
 from repro.nn.perexample import (
     per_example_gradients,
-    per_example_gradients_batched,
     per_example_gradients_looped,
-    per_example_gradients_rules,
     stack_to_example_lists,
 )
 from repro.privacy.accountant import MomentsAccountant
@@ -81,14 +78,10 @@ class LocalTrainerBase:
         self.loss_fn = CrossEntropyLoss()
         #: Per-example gradient engine selector.  "auto" uses the
         #: batched-graph engine when the model is traceable and falls back to
-        #: the looped reference otherwise; "batched" forces the batched-graph
-        #: replay; "rules" forces the hand-written per-layer rules engine;
-        #: "looped" forces the one-backward-per-example reference path (used
-        #: by the equivalence tests and as a debugging escape hatch).
+        #: the looped reference otherwise; "looped" forces the
+        #: one-backward-per-example reference path (timed by Table III and
+        #: used by the equivalence tests).
         self.per_example_mode = "auto"
-        #: First-batch per-example result primed by the fused executor; see
-        #: :meth:`prime_per_example_stack`.
-        self._primed_per_example: Optional[Tuple[List[np.ndarray], float]] = None
 
     # ------------------------------------------------------------------
     # Gradient computation helpers
@@ -114,40 +107,15 @@ class LocalTrainerBase:
         Returns one ``(B, *param_shape)`` array per model parameter plus the
         mean loss over the batch.  The hot path is the batched-graph engine of
         :mod:`repro.nn.perexample` (trace once, replay over the stacked
-        batch); ``self.per_example_mode`` selects an engine explicitly:
-        ``"batched"`` and ``"rules"`` force the two fast engines, ``"looped"``
-        forces the one-backward-per-example reference implementation, which is
-        also used automatically (under ``"auto"``) for models the fast
-        engines do not cover.
-
-        When the fused executor has primed this trainer with the current
-        batch's precomputed result (see :meth:`prime_per_example_stack`), that
-        result is consumed — exactly once — instead of recomputing.
+        batch); ``self.per_example_mode = "looped"`` forces the
+        one-backward-per-example reference implementation, which ``"auto"``
+        also uses for models the batched engine does not cover.
         """
-        if self._primed_per_example is not None:
-            stack, mean_loss = self._primed_per_example
-            self._primed_per_example = None
-            if stack and stack[0].shape[0] != np.asarray(features).shape[0]:
-                raise RuntimeError(
-                    "primed per-example stack does not match the current "
-                    f"batch: stacked {stack[0].shape[0]} examples, batch has "
-                    f"{np.asarray(features).shape[0]}"
-                )
-            return stack, mean_loss
         mode = self.per_example_mode
-        if mode not in ("auto", "batched", "rules", "looped"):
-            raise ValueError(
-                f"unknown per_example_mode {mode!r}; "
-                "expected 'auto', 'batched', 'rules' or 'looped'"
-            )
         if mode == "looped":
             return per_example_gradients_looped(self.model, features, labels)
-        if mode == "rules":
-            return per_example_gradients_rules(self.model, features, labels)
-        if mode == "batched":
-            stack, losses = per_example_gradients_batched(self.model, features, labels)
-            batch = np.asarray(features).shape[0]
-            return stack, float(np.sum(losses)) / max(batch, 1)
+        if mode != "auto":
+            raise ValueError(f"unknown per_example_mode {mode!r}; expected 'auto' or 'looped'")
         return per_example_gradients(self.model, features, labels)
 
     def compute_per_example_gradients(
@@ -162,33 +130,6 @@ class LocalTrainerBase:
         """
         stack, mean_loss = self.compute_per_example_gradient_stack(features, labels)
         return stack_to_example_lists(stack), mean_loss
-
-    # ------------------------------------------------------------------
-    # Batch fusion (opt-in, used by the "fused" executor)
-    # ------------------------------------------------------------------
-    def supports_batch_fusion(self) -> bool:
-        """Whether the fused executor may precompute this trainer's first-batch
-        per-example stack inside a multi-client batched replay.
-
-        ``False`` by default: fusion is only sound for methods whose first
-        local step consumes exactly
-        :meth:`compute_per_example_gradient_stack` of the raw first batch at
-        the broadcast global weights.  Methods for which that holds (Fed-CDP
-        and its variants) override this.
-        """
-        return False
-
-    def prime_per_example_stack(self, stack: List[np.ndarray], mean_loss: float) -> None:
-        """Hand the trainer a precomputed per-example result for its *next*
-        batch.
-
-        The fused executor computes the first-batch stacks of several clients
-        in one batched replay, then primes each trainer before calling
-        :meth:`train_client`; the next
-        :meth:`compute_per_example_gradient_stack` call consumes the primed
-        result instead of recomputing it.
-        """
-        self._primed_per_example = (list(stack), float(mean_loss))
 
     # ------------------------------------------------------------------
     # Local training loop
@@ -206,7 +147,6 @@ class LocalTrainerBase:
         global_weights: Sequence[np.ndarray],
         round_index: int,
         rng: np.random.Generator,
-        primed_first_batch: Optional[Tuple] = None,
     ) -> LocalUpdate:
         """Run one client's local training for this round.
 
@@ -214,32 +154,18 @@ class LocalTrainerBase:
         descent direction is produced) and optionally
         :meth:`_postprocess_update` (what happens to the finished update
         before it is shared).
-
-        ``primed_first_batch`` is the fused executor's protocol: a tuple
-        ``(features, labels, remaining_batches, stack, mean_loss)`` where the
-        first batch was already drawn from ``dataset.batches`` (advancing
-        ``rng`` identically to the non-fused path), its per-example result
-        was precomputed in a multi-client batched replay, and
-        ``remaining_batches`` is the still-unconsumed batch iterator.
         """
         self.model.set_weights(list(global_weights))
         batch_size = self.config.effective_batch_size
         iterations = self._local_iterations(dataset)
         learning_rate = self.config.learning_rate
 
-        if primed_first_batch is not None:
-            first_features, first_labels, remaining, stack, mean_loss = primed_first_batch
-            self.prime_per_example_stack(stack, mean_loss)
-            batch_source = itertools.chain([(first_features, first_labels)], remaining)
-        else:
-            batch_source = dataset.batches(
-                batch_size, rng=rng, num_batches=iterations, with_replacement=True
-            )
-
         losses: List[float] = []
         gradient_norms: List[float] = []
         start = time.perf_counter()
-        for features, labels in batch_source:
+        for features, labels in dataset.batches(
+            batch_size, rng=rng, num_batches=iterations, with_replacement=True
+        ):
             step_gradient, loss_value, raw_norm = self._sanitized_batch_gradient(
                 features, labels, round_index, rng
             )

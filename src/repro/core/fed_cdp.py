@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.federated.config import FederatedConfig
 from repro.nn import Sequential
-from repro.nn.perexample import has_per_example_rules, stack_to_example_lists
+from repro.nn.perexample import stack_to_example_lists
 from repro.privacy.clipping import (
     ClippingPolicy,
     ConstantClipping,
@@ -49,13 +49,6 @@ class FedCDPTrainer(LocalTrainerBase):
         self.clipping: ClippingPolicy = (
             clipping_policy if clipping_policy is not None else ConstantClipping(config.clipping_bound)
         )
-
-    def supports_batch_fusion(self) -> bool:
-        """Fed-CDP's first local step is exactly a per-example stack of the
-        raw first batch at the global weights, so the fused executor may
-        precompute it — provided the batched engine is in play (fusion with
-        the looped or rules engine would silently change which engine runs)."""
-        return self.per_example_mode in ("auto", "batched") and has_per_example_rules(self.model)
 
     # ------------------------------------------------------------------
     # Algorithm 2, lines 6-15: per-example clip + noise, then batch average.

@@ -217,7 +217,7 @@ class DriftModel:
 
     The transform is a pure function of ``(seed, client_id, round_index,
     shard)`` — applied identically by the eager client list, the lazy
-    roster, the fused executor and the multiprocessing workers — so drift
+    roster and the multiprocessing workers — so drift
     preserves every bit-identical backend/resume guarantee.
     """
 

@@ -54,21 +54,11 @@ class FederatedClient:
         global_weights: Sequence[np.ndarray],
         round_index: int,
         rng: Optional[np.random.Generator] = None,
-        primed_first_batch=None,
     ):
-        """Run local training for one round and return the resulting update.
-
-        ``primed_first_batch`` forwards the batch-fused executor's
-        precomputed first-step result to the trainer — see
-        :meth:`repro.core.base.LocalTrainerBase.train_client`.
-        """
+        """Run local training for one round and return the resulting update."""
         rng = rng if rng is not None else np.random.default_rng()
         return self.trainer.train_client(
-            self.dataset_for_round(round_index),
-            global_weights,
-            round_index,
-            rng,
-            primed_first_batch=primed_first_batch,
+            self.dataset_for_round(round_index), global_weights, round_index, rng
         )
 
     def sample_examples(

@@ -54,11 +54,7 @@ METHODS: Tuple[str, ...] = ("nonprivate", "fed_sdp", "fed_cdp", "fed_cdp_decay",
 PRIVATE_METHODS: Tuple[str, ...] = ("fed_sdp", "fed_cdp", "fed_cdp_decay")
 
 #: Client-execution backends understood by :func:`repro.federated.executor.make_executor`.
-#: ``fused`` is the opt-in batch-fusion backend: it stacks the selected
-#: clients' first minibatches into one batched-graph replay before running
-#: each client's local loop (see
-#: :class:`repro.federated.executor.BatchFusedClientExecutor`).
-EXECUTORS: Tuple[str, ...] = ("serial", "multiprocessing", "fused")
+EXECUTORS: Tuple[str, ...] = ("serial", "multiprocessing")
 
 #: Per-round client-selection schemes understood by the server.
 CLIENT_SAMPLING_SCHEMES: Tuple[str, ...] = ("fixed", "poisson")
@@ -360,7 +356,7 @@ class FederatedConfig:
     )
 
     # ----- execution -----------------------------------------------------
-    #: client-execution backend: ``serial``, ``multiprocessing`` or ``fused``
+    #: client-execution backend: ``serial`` or ``multiprocessing``
     executor: str = _field("serial", choices=EXECUTORS, help="client-execution backend (default: serial)")
     #: worker-pool size for the multiprocessing backend (``None`` = one per
     #: participating client, capped at the machine's CPU count)

@@ -15,15 +15,11 @@ FederatedSimulation` uses to farm those jobs out:
   :class:`~repro.federated.config.FederatedConfig` and keeps them alive
   across rounds; per round the selected cohort is dispatched as one chunk of
   clients per worker, with the read-only global weights serialised once per
-  chunk (see docs/cross_device_scale.md);
-* :class:`BatchFusedClientExecutor` — opt-in single-process backend that
-  stacks the selected clients' first minibatches into one batched-graph
-  replay (see :mod:`repro.autodiff.batched`) before running each client's
-  remaining local iterations serially.
+  chunk (see docs/cross_device_scale.md).
 
 Determinism
 -----------
-All backends consume *the same* randomness.  Under fixed-size sampling each
+Both backends consume *the same* randomness.  Under fixed-size sampling each
 round derives one child RNG stream per selected-client slot with
 :func:`spawn_client_seeds`; under Poisson sampling (where slots are
 meaningless — any subset of the population may be drawn) each participant's
@@ -55,7 +51,6 @@ __all__ = [
     "ClientExecutor",
     "SerialClientExecutor",
     "MultiprocessingClientExecutor",
-    "BatchFusedClientExecutor",
     "make_executor",
     "domain_seed_sequence",
     "spawn_client_seeds",
@@ -362,111 +357,6 @@ class MultiprocessingClientExecutor(ClientExecutor):
             self._pool = None
 
 
-class BatchFusedClientExecutor(ClientExecutor):
-    """Opt-in backend fusing the selected clients' *first* local steps.
-
-    Every selected client's first local iteration computes the per-example
-    gradient stack of its first minibatch at the same broadcast global
-    weights — K independent batched replays of the same compiled graph.  This
-    backend stacks those K minibatches into one ``(sum(B_k), ...)`` feed and
-    runs a *single* batched-graph replay, then hands each trainer its slice
-    (plus the still-unconsumed batch iterator) through the
-    ``primed_first_batch`` protocol of
-    :meth:`repro.core.base.LocalTrainerBase.train_client`; the remaining
-    local iterations run exactly as in the serial backend.
-
-    Randomness discipline: each slot's RNG is created from its client seed
-    and the first batch is drawn through the same
-    ``dataset.batches(...)`` generator the trainer would have created (the
-    generator draws indices lazily, one ``rng`` call per batch), so the RNG
-    stream is consumed in exactly the serial order.  Per-client mean losses
-    are recovered from contiguous slices of the fused per-example loss
-    vector, and batch rules map examples independently — fusion changes where
-    the first step is computed, not what it computes.
-
-    Only trainers whose :meth:`~repro.core.base.LocalTrainerBase.
-    supports_batch_fusion` holds participate (Fed-CDP variants on traceable
-    models under the batched engine); everything else falls back to the plain
-    serial path within the same round.
-    """
-
-    name = "fused"
-
-    def __init__(self, clients: Sequence) -> None:
-        self.clients = clients
-
-    def run_clients(
-        self,
-        selected: Sequence[int],
-        global_weights: Sequence[np.ndarray],
-        round_index: int,
-        client_seeds: Sequence[np.random.SeedSequence],
-    ) -> List:
-        if len(client_seeds) < len(selected):
-            raise ValueError("need one client seed per selected client")
-        if not selected:  # skipped round (dropout / empty Poisson draw)
-            return []
-        # Imported here to avoid an import cycle at module load time
-        # (repro.core imports repro.federated.config).
-        from repro.nn.perexample import per_example_losses_and_gradients
-
-        jobs = []  # one dict per slot: client, rng, optional fusion prep
-        groups: dict = {}  # id(trainer) -> (trainer, [slot, ...])
-        for slot, client_index in enumerate(selected):
-            client = self.clients[client_index]
-            rng = np.random.default_rng(client_seeds[slot])
-            job = {"client": client, "rng": rng, "primed": None, "prep": None}
-            trainer = client.trainer
-            if trainer.supports_batch_fusion():
-                # the fused first step must consume the same (possibly
-                # drifted) shard the trainer will train on
-                dataset = client.dataset_for_round(round_index)
-                batch_size = trainer.config.effective_batch_size
-                iterations = trainer._local_iterations(dataset)
-                batch_iter = dataset.batches(
-                    batch_size, rng=rng, num_batches=iterations, with_replacement=True
-                )
-                first = next(batch_iter, None)
-                if first is not None:
-                    job["prep"] = (first, batch_iter)
-                    groups.setdefault(id(trainer), (trainer, []))[1].append(slot)
-            jobs.append(job)
-
-        for trainer, slots in groups.values():
-            trainer.model.set_weights(list(global_weights))
-            features = np.concatenate([jobs[slot]["prep"][0][0] for slot in slots])
-            labels = np.concatenate([jobs[slot]["prep"][0][1] for slot in slots])
-            stack, losses = per_example_losses_and_gradients(trainer.model, features, labels)
-            offset = 0
-            for slot in slots:
-                (first_features, first_labels), batch_iter = jobs[slot]["prep"]
-                count = first_features.shape[0]
-                rows = slice(offset, offset + count)
-                offset += count
-                client_stack = [layer[rows] for layer in stack]
-                mean_loss = float(np.sum(losses[rows])) / max(count, 1)
-                jobs[slot]["primed"] = (
-                    first_features,
-                    first_labels,
-                    batch_iter,
-                    client_stack,
-                    mean_loss,
-                )
-
-        results = []
-        for slot in range(len(selected)):
-            job = jobs[slot]
-            results.append(
-                job["client"].local_update(
-                    global_weights,
-                    round_index,
-                    rng=job["rng"],
-                    primed_first_batch=job["primed"],
-                )
-            )
-        return results
-
-
 def make_executor(
     config: FederatedConfig,
     clients: Sequence,
@@ -477,7 +367,7 @@ def make_executor(
 
     ``clients`` may be an eager list of
     :class:`~repro.federated.client.FederatedClient` or a lazy roster — the
-    in-process backends only index into it.  The multiprocessing backend
+    serial backend only indexes into it.  The multiprocessing backend
     ignores ``clients`` entirely: workers rebuild the population from the
     config (``dataset_from_config=True``, nothing shipped) or from the
     ``train_dataset`` shipped once at pool startup.
@@ -491,6 +381,4 @@ def make_executor(
             num_workers=config.num_workers,
             dataset_from_config=dataset_from_config,
         )
-    if config.executor == "fused":
-        return BatchFusedClientExecutor(clients)
     raise ValueError(f"unknown executor {config.executor!r}; expected one of {EXECUTORS}")

@@ -9,12 +9,10 @@ from .models import Sequential, build_image_cnn, build_model_for_dataset, build_
 from .module import Module
 from .optim import SGD, Adam, Optimizer
 from .perexample import (
-    has_per_example_rules,
+    is_traceable,
     per_example_gradients,
     per_example_gradients_batched,
     per_example_gradients_looped,
-    per_example_gradients_rules,
-    per_example_losses_and_gradients,
     stack_to_example_lists,
 )
 
@@ -43,11 +41,9 @@ __all__ = [
     "he_normal",
     "zeros_init",
     "normal_init",
-    "has_per_example_rules",
+    "is_traceable",
     "per_example_gradients",
     "per_example_gradients_batched",
     "per_example_gradients_looped",
-    "per_example_gradients_rules",
-    "per_example_losses_and_gradients",
     "stack_to_example_lists",
 ]

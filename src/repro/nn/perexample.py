@@ -1,46 +1,25 @@
-"""Batched per-example gradient engine (the DP-SGD hot path).
+"""Per-example gradient engine (the DP-SGD hot path).
 
 Fed-CDP sanitises the gradient of *each individual training example* the
 moment it exists, which naively requires one forward/backward pass per example
 — the O(batch) overhead Table III measures.  This module removes that
-overhead with Opacus-style per-sample gradient rules: one forward and one
-backward pass over the whole batch, followed by per-layer einsum contractions
-that recover every example's parameter gradient from the saved input
-activations and the upstream (output) gradients.
+overhead with one fast engine and keeps one reference to check it against:
 
-Two observations make this exact rather than approximate:
+* :func:`per_example_gradients_batched` — the loss-and-gradients computation
+  of a *single* example is traced once (per model / example shape) and
+  replayed over the whole batch with the per-op batch rules of
+  :mod:`repro.autodiff.batched`: one batched pass through the recorded
+  forward *and* backward, at full BLAS width for ``Dense`` and ``Conv2D``
+  alike.  Every layer of the paper's two architectures treats the examples of
+  a batch independently, so the replay is exact rather than approximate;
+* :func:`per_example_gradients_looped` — one forward/backward pass per
+  example: the fallback for models the batched engine does not cover and the
+  ground truth it is regression-tested against in
+  ``tests/nn/test_perexample.py``.
 
-* every layer in the paper's two architectures (``Dense``, ``Conv2D`` and the
-  parameter-free activations/``Flatten``) treats the examples of a batch
-  independently, so the gradient of the *summed* per-example loss with respect
-  to a layer's output has one row per example carrying only that example's
-  contribution;
-* for an affine layer ``y = x @ W + b`` the per-example weight gradient is
-  the outer product ``x[b] ⊗ g[b]`` of the saved input activation and the
-  upstream gradient — a single ``einsum`` over the batch.  A convolution is
-  the same statement after im2col: with ``cols[b]`` of shape ``(C·K·K, P)``
-  and upstream gradient ``g[b]`` of shape ``(F, P)``, the per-example filter
-  gradient is ``g[b] @ cols[b].T`` (again one batched ``einsum``); the im2col
-  gather reuses the geometry-keyed index cache of
-  :func:`repro.nn.functional._im2col_indices`.
-
-Since the batched-graph transform landed in :mod:`repro.autodiff.batched`,
-the per-layer rules are no longer the default engine: the loss-and-gradients
-computation of a *single* example is traced once (per model / example shape)
-and replayed over the whole batch with per-op batch rules — see
-:func:`per_example_gradients_batched`.  That covers ``Dense`` and ``Conv2D``
-uniformly and at full BLAS width, where the hand-written ``Conv2D`` rule used
-to stall (the conv chain's gathers and GEMMs ran per example).  The rules
-engine is kept as :func:`per_example_gradients_rules` — a second, independent
-fast implementation used by the benchmark and the equivalence suite.
-
-The public entry point :func:`per_example_gradients` uses the batched-graph
-path when every parameterised layer is traceable (see
-:func:`has_per_example_rules`; the structural requirement is the same) and
-otherwise transparently falls back to :func:`per_example_gradients_looped`,
-the one-backward-per-example reference implementation kept for layers without
-a rule and as the ground truth the fast paths are regression-tested against
-in ``tests/nn/test_perexample.py``.
+The public entry point :func:`per_example_gradients` uses the batched engine
+when the model is traceable (see :func:`is_traceable`) and otherwise
+transparently falls back to the looped reference.
 
 Gradients are returned in the **stacked representation**: one
 ``(B, *param_shape)`` array per model parameter, aligned with
@@ -60,23 +39,20 @@ import numpy as np
 from repro.autodiff import BatchedGraph, Tensor, grad, logsumexp, mul, tracing, tsum
 
 from . import functional as F
-from .functional import _im2col_indices, conv_output_shape
 from .layers import Conv2D, Dense
 from .models import Sequential
 
 __all__ = [
-    "has_per_example_rules",
+    "is_traceable",
     "per_example_gradients",
     "per_example_gradients_batched",
-    "per_example_gradients_rules",
     "per_example_gradients_looped",
-    "per_example_losses_and_gradients",
     "stack_to_example_lists",
 ]
 
 
-def has_per_example_rules(model) -> bool:
-    """Whether every parameterised layer of ``model`` has a per-sample rule.
+def is_traceable(model) -> bool:
+    """Whether the batched engine covers ``model``.
 
     Only flat :class:`~repro.nn.models.Sequential` models built from ``Dense``,
     ``Conv2D`` and parameter-free layers qualify; anything else routes through
@@ -92,70 +68,6 @@ def has_per_example_rules(model) -> bool:
     return True
 
 
-def _dense_rule(layer: Dense, saved_input: np.ndarray, upstream: np.ndarray) -> List[np.ndarray]:
-    """Per-example gradients of a ``Dense`` layer.
-
-    ``saved_input`` is ``(B, in)``, ``upstream`` is ``dL/dy`` of shape
-    ``(B, out)``; the weight gradient of example ``b`` is the outer product
-    ``x[b] ⊗ g[b]`` and the bias gradient is ``g[b]`` itself.
-    """
-    # Batched outer product as a (B, in, 1) @ (B, 1, out) GEMM — BLAS-backed,
-    # unlike a naive einsum contraction.
-    grads = [np.matmul(saved_input[:, :, None], upstream[:, None, :])]
-    if layer.bias is not None:
-        grads.append(upstream)
-    return grads
-
-
-def _conv2d_rule(layer: Conv2D, saved_input: np.ndarray, upstream: np.ndarray) -> List[np.ndarray]:
-    """Per-example gradients of a ``Conv2D`` layer via the cached im2col gather."""
-    batch, channels, height, width = saved_input.shape
-    kernel, stride, padding = layer.kernel_size, layer.stride, layer.padding
-    out_h, out_w = conv_output_shape((height, width), kernel, stride, padding)
-    positions = out_h * out_w
-
-    if padding:
-        padded = np.pad(saved_input, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    else:
-        padded = saved_input
-    indices = _im2col_indices(channels, height, width, kernel, stride, padding)
-    cols = padded.reshape(batch, -1)[:, indices].reshape(batch, channels * kernel * kernel, positions)
-
-    g = upstream.reshape(batch, layer.out_channels, positions)
-    # (B, F, P) @ (B, P, CKK) batched GEMM; the transpose is a stride trick.
-    weight_grad = np.matmul(g, cols.transpose(0, 2, 1)).reshape(
-        batch, layer.out_channels, channels, kernel, kernel
-    )
-    grads = [weight_grad]
-    if layer.bias is not None:
-        grads.append(g.sum(axis=2))
-    return grads
-
-
-def _instrumented_forward(model: Sequential, features: np.ndarray):
-    """Forward pass recording, for each parameterised layer, the input
-    activation (numpy) and the output tensor the upstream gradient is needed
-    for."""
-    x = Tensor(features)
-    tape = []  # (layer, saved_input, output_tensor)
-    for layer in model.layers:
-        if isinstance(layer, Dense):
-            xin = x if x.ndim == 2 else F.flatten(x)
-            out = F.linear(xin, layer.weight, layer.bias)
-            tape.append((layer, xin.numpy(), out))
-            x = out
-        elif isinstance(layer, Conv2D):
-            out = layer(x)
-            tape.append((layer, x.numpy(), out))
-            x = out
-        else:
-            x = layer(x)
-    return x, tape
-
-
-# ------------------------------------------------------------------
-# Batched-graph engine (default fast path)
-# ------------------------------------------------------------------
 class _PerExampleTrace:
     """A compiled single-example loss/gradient graph plus its metadata."""
 
@@ -237,84 +149,15 @@ def per_example_gradients(
 
     Returns ``(stack, mean_loss)`` where ``stack`` holds one
     ``(B, *param_shape)`` array per entry of ``model.parameters()``.  Uses the
-    batched-graph fast path when :func:`has_per_example_rules` holds, the
+    batched-graph fast path when :func:`is_traceable` holds, the
     looped reference otherwise.
     """
-    if not has_per_example_rules(model):
+    if not is_traceable(model):
         return per_example_gradients_looped(model, features, labels)
     features = np.asarray(features, dtype=np.float64)
     batch = features.shape[0]
     stack, losses = per_example_gradients_batched(model, features, labels)
     return stack, float(np.sum(losses)) / max(batch, 1)
-
-
-def per_example_losses_and_gradients(
-    model: Sequential, features: np.ndarray, labels: np.ndarray
-) -> Tuple[List[np.ndarray], np.ndarray]:
-    """Like :func:`per_example_gradients` but returning the ``(B,)`` loss
-    vector instead of its mean — the form the batch-fused executor needs to
-    recover exact per-client mean losses from a fused pass."""
-    if has_per_example_rules(model):
-        return per_example_gradients_batched(model, features, labels)
-    features = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels)
-    params = model.parameters()
-    losses = np.empty(features.shape[0], dtype=np.float64)
-    per_example: List[List[np.ndarray]] = []
-    for index in range(features.shape[0]):
-        logits = model(Tensor(features[index : index + 1]))
-        loss = F.cross_entropy_with_logits(logits, labels[index : index + 1], reduction="mean")
-        gradients = grad(loss, params)
-        per_example.append([g.numpy() for g in gradients])
-        losses[index] = float(loss.item())
-    stack = [
-        np.stack([example[layer_index] for example in per_example])
-        for layer_index in range(len(params))
-    ]
-    return stack, losses
-
-
-# ------------------------------------------------------------------
-# Per-layer rules engine (PR-1 design, kept as an independent fast path)
-# ------------------------------------------------------------------
-def per_example_gradients_rules(
-    model: Sequential, features: np.ndarray, labels: np.ndarray
-) -> Tuple[List[np.ndarray], float]:
-    """Per-example gradients via the hand-written per-layer rules.
-
-    One full-batch forward/backward plus per-layer contractions
-    (:func:`_dense_rule`, :func:`_conv2d_rule`).  Superseded as the default by
-    :func:`per_example_gradients_batched` but kept as an independently
-    derived fast implementation: the three-way benchmark and the equivalence
-    tests cross-check all engines against each other.  Falls back to the
-    looped reference when :func:`has_per_example_rules` does not hold.
-    """
-    if not has_per_example_rules(model):
-        return per_example_gradients_looped(model, features, labels)
-
-    features = np.asarray(features, dtype=np.float64)
-    batch = features.shape[0]
-    logits, tape = _instrumented_forward(model, features)
-    # Sum (not mean) reduction keeps row b of every upstream gradient equal to
-    # d loss_b / d output_b, i.e. the gradient of that example's own loss.
-    loss_sum = F.cross_entropy_with_logits(logits, labels, reduction="sum")
-    upstream = grad(loss_sum, [out for _, _, out in tape])
-
-    stack: List[np.ndarray] = []
-    for (layer, saved_input, _), up in zip(tape, upstream):
-        if isinstance(layer, Dense):
-            stack.extend(_dense_rule(layer, saved_input, up.numpy()))
-        else:
-            stack.extend(_conv2d_rule(layer, saved_input, up.numpy()))
-
-    params = model.parameters()
-    if len(stack) != len(params):  # pragma: no cover - structural invariant
-        raise RuntimeError(
-            f"per-example engine produced {len(stack)} gradient stacks for "
-            f"{len(params)} parameters"
-        )
-    mean_loss = float(loss_sum.item()) / max(batch, 1)
-    return stack, mean_loss
 
 
 def per_example_gradients_looped(
@@ -323,8 +166,8 @@ def per_example_gradients_looped(
     """Reference implementation: one forward/backward pass per example.
 
     Semantically identical to :func:`per_example_gradients` (same stacked
-    return format); kept as the fallback for models without per-sample rules
-    and as the ground truth the fast path is regression-tested against.
+    return format); kept as the fallback for models the batched engine does
+    not cover and as the ground truth the fast path is regression-tested against.
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)

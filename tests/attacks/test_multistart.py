@@ -1,7 +1,6 @@
 """Tests for the batched multi-restart reconstruction engine.
 
-The contract mirrors PR 1's looped-vs-vectorized discipline: the vectorized
-dense-rule objective must agree with the looped reference evaluation of the
+The vectorized objective must agree with the looped reference evaluation of the
 same joint objective (values, input gradients and per-restart losses), and
 the full attack must behave like a best-of-R single-restart attack.
 """
@@ -11,13 +10,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.attacks import (
-    AttackConfig,
-    MultiRestartReconstruction,
-    supports_vectorized_restarts,
-)
-from repro.autodiff import Tensor, grad
-from repro.nn import CrossEntropyLoss, build_model_for_dataset, build_tabular_mlp
+from repro.attacks import AttackConfig, MultiRestartReconstruction
+from repro.autodiff import Tensor, broadcast_to, grad, mul, reshape
+from repro.nn import CrossEntropyLoss, Module, build_model_for_dataset, build_tabular_mlp
 from repro.data import generate_dataset, get_dataset_spec
 
 
@@ -35,29 +30,6 @@ def _mlp_and_target(num_features=12, num_classes=3, seed=0):
 
 def _restart_seeds(count, entropy=7):
     return list(np.random.SeedSequence(entropy).spawn(count))
-
-
-def test_supports_vectorized_restarts_detection():
-    """Since the batched-graph transform the check is purely structural:
-    conv models, the cosine objective and the TV prior all run vectorized."""
-    dense_model, *_ = _mlp_and_target()
-    cnn_model = build_model_for_dataset(get_dataset_spec("mnist"), seed=0, scale=0.25)
-    l2 = AttackConfig(max_iterations=5)
-    assert supports_vectorized_restarts(dense_model, l2)
-    assert supports_vectorized_restarts(cnn_model, l2)
-    assert supports_vectorized_restarts(dense_model, AttackConfig(max_iterations=5, objective="cosine"))
-    assert supports_vectorized_restarts(cnn_model, AttackConfig(max_iterations=5, tv_weight=0.1))
-
-    class _Opaque:
-        def parameters(self):
-            return [object()]
-
-        def __call__(self, x):  # pragma: no cover - never invoked
-            return x
-
-    opaque = build_tabular_mlp(4, 2, hidden_sizes=(3,), seed=0)
-    opaque.layers.append(_Opaque())
-    assert not supports_vectorized_restarts(opaque, l2)
 
 
 def test_vectorized_objective_matches_looped_reference():
@@ -186,11 +158,43 @@ def test_cosine_tv_objective_matches_looped_reference():
     np.testing.assert_allclose(grad_v, grad_l, rtol=1e-7, atol=1e-9)
 
 
-def test_force_looped_debug_flag():
-    model, x, y, target = _cnn_and_target()
-    attack = MultiRestartReconstruction(model, AttackConfig(max_iterations=4), force_looped=True)
+class _Scale(Module):
+    """A parameterised layer outside the traceable family."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.scale = Tensor(np.ones(1), requires_grad=True, name="scale")
+
+    def forward(self, x):
+        return mul(x, broadcast_to(reshape(self.scale, (1, 1)), x.shape))
+
+
+def _opaque_and_target():
+    model, x, y, _ = _mlp_and_target()
+    model.layers.append(_Scale())
+    target = [g.numpy() for g in grad(CrossEntropyLoss()(model(Tensor(x)), y), model.parameters())]
+    return model, x, y, target
+
+
+@pytest.mark.parametrize(
+    "setup, config_kwargs, vectorized",
+    [
+        (_mlp_and_target, {}, True),
+        (_cnn_and_target, {}, True),
+        (_mlp_and_target, {"objective": "cosine"}, True),
+        (_cnn_and_target, {"tv_weight": 0.1}, True),
+        (_opaque_and_target, {}, False),
+    ],
+    ids=["dense-l2", "cnn-l2", "dense-cosine", "cnn-tv", "opaque-l2"],
+)
+def test_vectorized_iff_model_is_traceable(setup, config_kwargs, vectorized):
+    """The batched path is chosen structurally: dense and conv models run
+    vectorized under either objective and the TV prior; a model with an
+    untraceable parameterised layer runs the looped fallback end to end."""
+    model, x, y, target = setup()
+    attack = MultiRestartReconstruction(model, AttackConfig(max_iterations=4, **config_kwargs))
     result = attack.run(target, x.shape[1:], _restart_seeds(2), ground_truth=x[0], labels=y)
-    assert not result.vectorized
+    assert result.vectorized is vectorized
     assert result.restarts == 2
     assert result.reconstruction.shape == x.shape[1:]
     assert np.isfinite(result.reconstruction_distance)

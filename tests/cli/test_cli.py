@@ -442,7 +442,7 @@ RUN_FLAGS = [
     (("--dropout",), "dropout", "float", None, None, None),
     (("--epsilon-budget",), "epsilon_budget", "float", None, None, None),
     (("--eval-every",), "eval_every", "int", None, None, None),
-    (("--executor",), "executor", None, None, ("serial", "multiprocessing", "fused"), None),
+    (("--executor",), "executor", None, None, ("serial", "multiprocessing"), None),
     (("--history-spool",), "history_spool", None, None, None, None),
     (("--history-tail",), "history_tail", "int", None, None, 64),
     (("--method",), "method", None, None,
@@ -465,7 +465,7 @@ RUN_FLAGS = [
 ]
 
 
-def test_run_subcommand_flag_surface_is_pinned():
+def test_run_subcommand_flag_surface_is_pinned(capsys):
     parser = build_parser()
     subcommands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     run = subcommands.choices["run"]
@@ -482,6 +482,10 @@ def test_run_subcommand_flag_surface_is_pinned():
         if action.dest != "help"
     )
     assert flags == RUN_FLAGS
+    # a value outside the choices exits through argparse's own error
+    with pytest.raises(SystemExit):
+        parser.parse_args(["run", "--executor", "fused"])
+    assert "invalid choice: 'fused'" in capsys.readouterr().err
 
 
 def test_resume_rejects_conflicting_attack_flags(tmp_path):

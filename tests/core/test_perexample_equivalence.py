@@ -17,6 +17,7 @@ from repro.attacks.threat import LEAKAGE_TYPES, GradientLeakageThreat
 from repro.core import FedCDPDecayTrainer, FedCDPTrainer
 from repro.data import generate_dataset, get_dataset_spec
 from repro.experiments.harness import quick_config
+from repro.federated import FederatedSimulation
 from repro.nn import build_model_for_dataset
 
 ATOL = 1e-8
@@ -91,3 +92,36 @@ def test_reconstruction_attack_identical_to_looped_reference(adult_setup):
     assert fast.num_iterations == ref.num_iterations
     assert fast.reconstruction_distance == pytest.approx(ref.reconstruction_distance, abs=ATOL)
     np.testing.assert_allclose(fast.reconstruction, ref.reconstruction, atol=ATOL, rtol=0)
+
+
+@pytest.mark.parametrize("dataset_name", ["cancer", "mnist"])
+@pytest.mark.parametrize("method", ["fed_cdp", "fed_cdp_decay"])
+def test_simulation_identical_to_looped_reference(method, dataset_name):
+    """A whole serial Fed-CDP run (MLP or CNN, fixed or decaying clipping)
+    under the batched engine reproduces the looped reference round by round."""
+    config = quick_config(dataset_name, method, rounds=2, eval_every=1, seed=24)
+    histories = {}
+    for mode in ("auto", "looped"):
+        with FederatedSimulation(config) as simulation:
+            simulation.trainer.per_example_mode = mode
+            histories[mode] = simulation.run()
+    fast, ref = histories["auto"], histories["looped"]
+    np.testing.assert_allclose(
+        [r.mean_loss for r in fast.rounds], [r.mean_loss for r in ref.rounds], atol=ATOL, rtol=0
+    )
+    np.testing.assert_allclose(
+        fast.gradient_norm_series, ref.gradient_norm_series, atol=ATOL, rtol=0
+    )
+    assert fast.accuracy_by_round.keys() == ref.accuracy_by_round.keys()
+    np.testing.assert_allclose(
+        list(fast.accuracy_by_round.values()), list(ref.accuracy_by_round.values()), atol=ATOL, rtol=0
+    )
+
+
+@pytest.mark.parametrize("mode", ["rules", "batched"])
+def test_unknown_per_example_mode_raises_on_the_next_step(adult_setup, mode):
+    spec, config, dataset = adult_setup
+    weights = build_model_for_dataset(spec, seed=0, scale=0.3).get_weights()
+    trainer = _make_trainer(FedCDPTrainer, spec, config, mode)
+    with pytest.raises(ValueError, match="expected 'auto' or 'looped'"):
+        trainer.train_client(dataset, weights, 0, np.random.default_rng(0))

@@ -11,13 +11,14 @@ checkpoint and resumed must be bit-identical to an uninterrupted one.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.experiments.harness import quick_config
-from repro.federated import FederatedSimulation
+from repro.federated import FederatedConfig, FederatedSimulation
 from repro.federated.executor import (
-    BatchFusedClientExecutor,
     MultiprocessingClientExecutor,
     SerialClientExecutor,
     default_num_workers,
@@ -117,11 +118,23 @@ def test_make_executor_selects_backend():
     executor.close()  # no pool was started; close must be a no-op
 
 
-def test_config_rejects_unknown_executor_and_bad_workers():
+def test_config_rejects_unknown_executor_and_bad_workers(tmp_path):
     with pytest.raises(ValueError):
         quick_config("cancer", "nonprivate", executor="threads")
     with pytest.raises(ValueError):
         quick_config("cancer", "nonprivate", num_workers=0)
+    # a removed backend fails loudly, from a config mapping and from a checkpoint
+    expected = r"executor 'fused'; expected one of \('serial', 'multiprocessing'\)"
+    config = quick_config("cancer", "nonprivate", rounds=1)
+    with pytest.raises(ValueError, match=expected):
+        FederatedConfig.from_dict(dict(config.to_dict(), executor="fused"))
+    checkpoint = tmp_path / "ck.json"
+    FederatedSimulation(config).run(checkpoint_path=str(checkpoint))
+    state = json.loads(checkpoint.read_text())
+    state["config"]["executor"] = "fused"
+    checkpoint.write_text(json.dumps(state))
+    with pytest.raises(ValueError, match=expected):
+        FederatedSimulation.from_checkpoint(str(checkpoint))
 
 
 def test_executors_require_enough_seeds():
@@ -311,68 +324,6 @@ def test_secure_aggregation_serial_and_multiprocessing_bit_identical():
     parallel = _run(config.with_overrides(executor="multiprocessing", num_workers=2))
     _assert_histories_equal(serial, parallel)
     assert [r.mean_loss for r in serial.rounds] == [r.mean_loss for r in parallel.rounds]
-
-
-# ----------------------------------------------------------------------
-# Batch-fused executor (opt-in)
-# ----------------------------------------------------------------------
-def test_make_executor_selects_fused_backend():
-    config = quick_config("cancer", "fed_cdp", executor="fused")
-    simulation = FederatedSimulation(config)
-    assert isinstance(
-        make_executor(config, simulation.clients, train_dataset=simulation.train_dataset),
-        BatchFusedClientExecutor,
-    )
-
-
-def test_fused_matches_serial_bitwise_on_mlp():
-    config = quick_config("cancer", "fed_cdp", rounds=3, eval_every=1, seed=21)
-    serial = _run(config)
-    fused = _run(config.with_overrides(executor="fused"))
-    _assert_histories_equal(serial, fused)
-    # the MLP trace replays through the identical GEMMs, so fusion is
-    # literally bit-identical, not merely <= 1e-8
-    assert [r.mean_loss for r in serial.rounds] == [r.mean_loss for r in fused.rounds]
-    assert list(serial.gradient_norm_series) == list(fused.gradient_norm_series)
-    assert serial.accuracy_by_round == fused.accuracy_by_round
-
-
-def test_fused_matches_serial_on_cnn():
-    # conv traces fold (B*rows, K) GEMMs whose BLAS blocking depends on the
-    # fused width, so equality here is to the 1e-8 contract rather than
-    # bitwise (observed differences are at machine epsilon)
-    config = quick_config("mnist", "fed_cdp", rounds=2, eval_every=1, seed=22)
-    serial = _run(config)
-    fused = _run(config.with_overrides(executor="fused"))
-    _assert_histories_equal(serial, fused)
-    np.testing.assert_allclose(
-        [r.mean_loss for r in serial.rounds], [r.mean_loss for r in fused.rounds], rtol=1e-12
-    )
-
-
-def test_fused_executor_handles_nonfusable_trainers():
-    # nonprivate trainers never opt into fusion: the fused backend must fall
-    # back to the plain serial path and reproduce it exactly
-    config = quick_config("cancer", "nonprivate", rounds=2, eval_every=1, seed=23)
-    serial = _run(config)
-    fused = _run(config.with_overrides(executor="fused"))
-    _assert_histories_equal(serial, fused)
-    assert [r.mean_loss for r in serial.rounds] == [r.mean_loss for r in fused.rounds]
-
-
-def test_fused_matches_serial_under_looped_mode_opt_out():
-    # forcing the looped engine turns supports_batch_fusion off; the fused
-    # backend then runs every client down the unprimed path
-    config = quick_config("cancer", "fed_cdp", rounds=2, eval_every=1, seed=24)
-    with FederatedSimulation(config) as serial_sim:
-        serial_sim.trainer.per_example_mode = "looped"
-        serial = serial_sim.run()
-    with FederatedSimulation(config.with_overrides(executor="fused")) as fused_sim:
-        fused_sim.trainer.per_example_mode = "looped"
-        assert not fused_sim.trainer.supports_batch_fusion()
-        fused = fused_sim.run()
-    _assert_histories_equal(serial, fused)
-    assert [r.mean_loss for r in serial.rounds] == [r.mean_loss for r in fused.rounds]
 
 
 # ----------------------------------------------------------------------

@@ -1,12 +1,11 @@
-"""Equivalence regression tests for the fast per-example gradient engines.
+"""Equivalence regression tests for the fast per-example gradient engine.
 
-All fast paths of :mod:`repro.nn.perexample` — the batched-graph default
-(:func:`per_example_gradients_batched`) and the hand-written per-layer rules
-(:func:`per_example_gradients_rules`) — must be numerically indistinguishable
-(within 1e-8; in practice machine epsilon) from the one-backward-per-example
-looped reference — for raw gradients, after vectorized clipping, and after
-seeded Gaussian noise, whose RNG stream must match the looped draw order
-exactly.
+The batched-graph engine of :mod:`repro.nn.perexample`
+(:func:`per_example_gradients_batched`, behind :func:`per_example_gradients`)
+must be numerically indistinguishable (within 1e-8; in practice machine
+epsilon) from the one-backward-per-example looped reference — for raw
+gradients, after vectorized clipping, and after seeded Gaussian noise, whose
+RNG stream must match the looped draw order exactly.
 """
 
 from __future__ import annotations
@@ -22,12 +21,10 @@ from repro.nn import (
     Sequential,
     build_image_cnn,
     build_tabular_mlp,
-    has_per_example_rules,
+    is_traceable,
     per_example_gradients,
     per_example_gradients_batched,
     per_example_gradients_looped,
-    per_example_gradients_rules,
-    per_example_losses_and_gradients,
     stack_to_example_lists,
 )
 from repro.privacy import GaussianMechanism
@@ -59,10 +56,10 @@ def cnn_batch(rng):
 
 
 @pytest.mark.parametrize("setup", ["mlp_batch", "cnn_batch"])
-@pytest.mark.parametrize("engine", [per_example_gradients, per_example_gradients_rules])
+@pytest.mark.parametrize("engine", [per_example_gradients])
 def test_fast_engines_match_looped(engine, setup, request):
     model, features, labels = request.getfixturevalue(setup)
-    assert has_per_example_rules(model)
+    assert is_traceable(model)
     fast, fast_loss = engine(model, features, labels)
     ref, ref_loss = per_example_gradients_looped(model, features, labels)
     assert fast_loss == pytest.approx(ref_loss, abs=ATOL)
@@ -86,17 +83,6 @@ def test_batched_engine_losses_match_looped_per_example(setup, request):
     # the dispatcher's mean is the sum of the per-example losses
     _, mean_loss = per_example_gradients(model, features, labels)
     assert mean_loss == pytest.approx(float(losses.sum()) / features.shape[0], abs=0)
-
-
-def test_losses_and_gradients_fallback_without_rules(rng):
-    model = Sequential([Dense(6, 5, rng=np.random.default_rng(0)), ReLU(), _OpaqueLayer()])
-    features = rng.normal(size=(4, 6))
-    labels = rng.integers(0, 5, size=4)
-    stack, losses = per_example_losses_and_gradients(model, features, labels)
-    ref_stack, ref_loss = per_example_gradients_looped(model, features, labels)
-    assert float(losses.sum()) / 4 == pytest.approx(ref_loss, abs=ATOL)
-    for layer, ref_layer in zip(stack, ref_stack):
-        np.testing.assert_array_equal(layer, ref_layer)
 
 
 def test_batched_trace_survives_weight_updates(mlp_batch):
@@ -200,7 +186,7 @@ def test_zero_noise_stack_copies_input(mlp_batch):
 
 
 class _OpaqueLayer(Module):
-    """A parameterised layer without a per-sample rule."""
+    """A parameterised layer outside the traceable family."""
 
     def __init__(self) -> None:
         super().__init__()
@@ -214,7 +200,7 @@ class _OpaqueLayer(Module):
 
 def test_fallback_for_models_without_rules(rng):
     model = Sequential([Dense(6, 5, rng=np.random.default_rng(0)), ReLU(), _OpaqueLayer()])
-    assert not has_per_example_rules(model)
+    assert not is_traceable(model)
     features = rng.normal(size=(4, 6))
     labels = rng.integers(0, 5, size=4)
     fast, fast_loss = per_example_gradients(model, features, labels)
