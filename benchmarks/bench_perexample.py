@@ -21,7 +21,10 @@ Run from the repository root::
     PYTHONPATH=src python benchmarks/bench_perexample.py --quick    # CI smoke
 
 This is a standalone script (not a pytest module) so it can run without the
-benchmark plugin and emit machine-readable output for trend tracking.
+benchmark plugin and emit machine-readable output for trend tracking.  Like
+the end-to-end benchmark it pins glibc's malloc thresholds first
+(``pin_allocator`` in ``benchmarks/e2e/run.py``), so whether a replay's large
+temporaries are page-faulted afresh does not depend on what ran before.
 """
 
 from __future__ import annotations
@@ -36,6 +39,10 @@ import numpy as np
 
 from repro.nn import build_image_cnn, build_tabular_mlp
 from repro.nn.perexample import per_example_gradients_batched, per_example_gradients_looped
+
+# imported after numpy, so that its single-BLAS-thread environment pin
+# (meant for the end-to-end runs) does not reach this process's BLAS
+from e2e.run import pin_allocator
 
 ENGINES = {
     "looped": per_example_gradients_looped,
@@ -88,6 +95,7 @@ def main() -> None:
         "--output", default="BENCH_perexample.json", help="where to write the JSON trajectory"
     )
     args = parser.parse_args()
+    pin_allocator()
 
     if args.quick:
         batch_sizes, repeats = [8, 32], 2

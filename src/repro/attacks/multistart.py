@@ -229,8 +229,7 @@ class MultiRestartReconstruction:
             ]
         )
         low, high = config.value_range
-        example_size = int(np.prod(example_shape))
-        bounds = [(low, high)] * (restarts * example_size)
+        bounds = optimize.Bounds(low, high)
 
         vectorized = is_traceable(self.model)
         evaluate = self._objective_vectorized if vectorized else self._objective_looped

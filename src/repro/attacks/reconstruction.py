@@ -197,7 +197,7 @@ class GradientReconstructionAttack:
 
         seed = make_seed(config.seed_kind, input_shape, rng=rng)
         low, high = config.value_range
-        bounds = [(low, high)] * int(np.prod(input_shape))
+        bounds = optimize.Bounds(low, high)
 
         if config.objective == "l2":
             # Scale-aware success criterion: the loss is compared against the

@@ -23,8 +23,10 @@ from repro.privacy.clipping import (
     ClippingPolicy,
     ConstantClipping,
     clip_gradients_per_layer,
-    clip_per_example_stack,
+    clip_noise_mean,
+    clip_per_example_stack,  # noqa: F401  (patched by name by benchmarks/e2e/tracing.py)
     per_example_global_norms,
+    per_example_layer_norms,
 )
 from repro.privacy.ledger import RoundCharge
 from repro.privacy.mechanisms import GaussianMechanism
@@ -75,11 +77,13 @@ class FedCDPTrainer(LocalTrainerBase):
         """Batch mean of the clipped, noised per-example gradients of a batch.
 
         Vectorized equivalent of averaging :meth:`sanitize_per_example_gradient`
-        over the examples: the per-example stack is clipped per layer in one
-        broadcast and noised with one flat ``(B, total_params)`` draw, which
-        consumes ``rng`` in the looped path's order.  Nothing else here
-        draws from ``rng``, so a large draw runs on the noise thread while
-        the per-example replay and the clip run on this one
+        over the examples: the per-example stack's layer norms come from one
+        einsum per layer, and :func:`clip_noise_mean` clips, noises and
+        averages it in one pass over the row blocks of one flat
+        ``(B, total_params)`` draw, which consumes ``rng`` in the looped
+        path's order.  Nothing else here draws from ``rng``, so a large draw
+        runs on the noise thread while the per-example replay runs on this
+        one, and each block is consumed as soon as it lands
         (:meth:`GaussianMechanism.start_stack_noise`); the stream, and so
         every value, is the same either way.  Returns ``(mean_gradient,
         mean_loss, pre_clip_layer_norms)``; the norms feed the Figure-3
@@ -88,16 +92,16 @@ class FedCDPTrainer(LocalTrainerBase):
         bound = self.clipping.bound_for_round(round_index)
         mechanism = GaussianMechanism(self.config.noise_scale, bound)
         num_params = sum(param.data.size for param in self.model.parameters())
-        pending = mechanism.start_stack_noise((len(features), num_params), rng)
+        noise = mechanism.start_stack_noise((len(features), num_params), rng)
         try:
             stack, mean_loss = self.compute_per_example_gradient_stack(features, labels)
-            clipped, layer_norms = clip_per_example_stack(stack, bound)
+            layer_norms = per_example_layer_norms(stack)
+            mean = clip_noise_mean(stack, layer_norms, bound, noise)
         except BaseException:
-            if pending is not None:
-                pending.exception()  # rng is the caller's again only once the draw is done
+            if noise is not None:
+                noise.wait()  # rng is the caller's again only once the draw is done
             raise
-        sanitized = mechanism.add_noise_to_stack(clipped, rng=rng, pending=pending)
-        return [layer.mean(axis=0) for layer in sanitized], mean_loss, layer_norms
+        return mean, mean_loss, layer_norms
 
     def _sanitized_batch_gradient(
         self,

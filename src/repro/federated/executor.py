@@ -43,6 +43,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.data.dataset import Dataset
+from repro.privacy.mechanisms import draw_noise_inline
 from repro.rng import domain_seed_sequence
 
 from .config import EXECUTORS, FederatedConfig
@@ -106,9 +107,16 @@ def client_id_seed_sequence(
     return domain_seed_sequence(seed, _CLIENT_ID_STREAM_DOMAIN, round_index, client_id)
 
 
+def _usable_cores() -> int:
+    """Cores this process may run on (its affinity mask where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def default_num_workers(clients_per_round: int) -> int:
     """Pool size used when the config does not pin ``num_workers``."""
-    return max(1, min(int(clients_per_round), os.cpu_count() or 1))
+    return max(1, min(int(clients_per_round), _usable_cores()))
 
 
 class ClientExecutor:
@@ -182,7 +190,9 @@ _WORKER_STATE: dict = {}
 _WORKER_SHARD_CACHE_LIMIT = 1024
 
 
-def _worker_initializer(config: FederatedConfig, data_payload: Optional[tuple]) -> None:
+def _worker_initializer(
+    config: FederatedConfig, data_payload: Optional[tuple], num_workers: int
+) -> None:
     """Build the model, trainer and a lazy client population once per worker.
 
     ``data_payload`` is ``None`` when the training data is the config's
@@ -193,7 +203,14 @@ def _worker_initializer(config: FederatedConfig, data_payload: Optional[tuple]) 
     :class:`~repro.data.population.LazyClientPopulation` construction as the
     parent simulation (identical main-RNG consumption), so worker-side shards
     are bit-identical to the parent's at every scale.
+
+    The pool's ``num_workers`` share one core budget: when a noise thread
+    per worker would make more busy threads than this process may run on
+    cores, the worker draws its Fed-CDP noise on its own thread (same RNG
+    stream, see :func:`repro.privacy.mechanisms.draw_noise_inline`).
     """
+    if 2 * num_workers > _usable_cores():
+        draw_noise_inline()
     # Imported here so the (spawned) worker pays the import cost once, and to
     # avoid an import cycle at module load time.
     from repro.core.factory import make_trainer
@@ -320,7 +337,7 @@ class MultiprocessingClientExecutor(ClientExecutor):
             self._pool = context.Pool(
                 processes=self.num_workers,
                 initializer=_worker_initializer,
-                initargs=(self.config, self._data_payload),
+                initargs=(self.config, self._data_payload, self.num_workers),
             )
         return self._pool
 

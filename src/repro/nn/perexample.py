@@ -25,8 +25,9 @@ Gradients are returned in the **stacked representation**: one
 ``(B, *param_shape)`` array per model parameter, aligned with
 ``model.parameters()``.  The DP pipeline (clipping, noising, averaging)
 operates on this stack with broadcasted numpy ops — see
-:func:`repro.privacy.clipping.clip_per_example_stack` and
-:meth:`repro.privacy.mechanisms.GaussianMechanism.add_noise_to_stack`.
+:func:`repro.privacy.clipping.clip_per_example_stack`,
+:meth:`repro.privacy.mechanisms.GaussianMechanism.add_noise_to_stack` and
+the fused :func:`repro.privacy.clipping.clip_noise_mean`.
 """
 
 from __future__ import annotations

@@ -16,6 +16,7 @@ from .clipping import (
     MedianNormClipping,
     clip_by_l2_norm,
     clip_gradients_per_layer,
+    clip_noise_mean,
     clip_per_example_stack,
     global_l2_norm,
     l2_norm,
@@ -45,6 +46,7 @@ __all__ = [
     "clip_by_l2_norm",
     "clip_gradients_per_layer",
     "clip_per_example_stack",
+    "clip_noise_mean",
     "per_example_layer_norms",
     "per_example_global_norms",
     "l2_norm",

@@ -17,9 +17,12 @@ Two kinds of objects live here:
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .mechanisms import StackNoise
 
 __all__ = [
     "l2_norm",
@@ -29,6 +32,7 @@ __all__ = [
     "per_example_layer_norms",
     "per_example_global_norms",
     "clip_per_example_stack",
+    "clip_noise_mean",
     "ClippingPolicy",
     "ConstantClipping",
     "LinearDecayClipping",
@@ -137,11 +141,58 @@ def clip_per_example_stack(
     _check_bound(bound)
     layer_norms = per_example_layer_norms(stack)
     clipped: List[np.ndarray] = []
-    for layer, norms in zip(stack, layer_norms):
-        scale = np.maximum(1.0, norms / bound)
+    for layer, scale in zip(stack, _clip_scales(layer_norms, bound)):
         shape = (layer.shape[0],) + (1,) * (np.asarray(layer).ndim - 1)
         clipped.append(np.asarray(layer, dtype=np.float64) / scale.reshape(shape))
     return clipped, layer_norms
+
+
+def _clip_scales(layer_norms: Sequence[np.ndarray], bound: float) -> List[np.ndarray]:
+    """Each example's divisor ``max(1, ||g||/C)`` per layer, as in :func:`clip_by_l2_norm`."""
+    return [np.maximum(1.0, norms / bound) for norms in layer_norms]
+
+
+def clip_noise_mean(
+    stack: Sequence[np.ndarray],
+    layer_norms: Sequence[np.ndarray],
+    bound: float,
+    noise: Optional["StackNoise"] = None,
+) -> List[np.ndarray]:
+    """Batch mean of the clipped, noised examples of a stack, in one pass.
+
+    Bit for bit ``[layer.mean(axis=0) for layer in
+    noise.mechanism.add_noise_to_stack(clip_per_example_stack(stack,
+    bound)[0], ...)]`` over the same draw, without the clipped or noised
+    ``(B, P)`` copies: the examples are taken in the draw's row blocks, and
+    each block is clipped (the same division by :func:`_clip_scales`),
+    noised in place by ``add_noise_to_stack`` as soon as it is drawn, and
+    added row by row into each layer's sum, which starts at zero as numpy's
+    axis-0 reduction does and is divided by ``B`` at the end.
+
+    ``layer_norms`` are the stack's :func:`per_example_layer_norms`;
+    ``noise`` is the step's draw from
+    :meth:`~repro.privacy.mechanisms.GaussianMechanism.start_stack_noise`,
+    or ``None`` for no noise.
+    """
+    _check_bound(bound)
+    batch = stack[0].shape[0]
+    flats = [np.asarray(layer, dtype=np.float64).reshape(batch, -1) for layer in stack]
+    scales = [scale[:, None] for scale in _clip_scales(layer_norms, bound)]
+    sums = [np.zeros(flat.shape[1]) for flat in flats]
+    blocks = noise if noise is not None else [None]
+    start = 0
+    for block in blocks:
+        stop = batch if block is None else start + block.shape[0]
+        clipped = [flat[start:stop] / scale[start:stop] for flat, scale in zip(flats, scales)]
+        if block is not None:
+            clipped = noise.mechanism.add_noise_to_stack(clipped, noise=block)
+        for total, rows in zip(sums, clipped):
+            for row in rows:
+                total += row
+        start = stop
+    if start != batch:
+        raise ValueError(f"the noise draw covers {start} rows; the stack has {batch}")
+    return [(total / batch).reshape(layer.shape[1:]) for total, layer in zip(sums, stack)]
 
 
 class ClippingPolicy:

@@ -6,8 +6,8 @@ L2-sensitivity ``S`` yields ``(epsilon, delta)``-DP when
 ``sigma^2 > 2 log(1.25 / delta) / epsilon^2``.
 
 Large per-example noise draws (Fed-CDP's ``(B, P)`` stack) can run on one
-worker thread while the caller computes what the noise is added to; see
-:meth:`GaussianMechanism.start_stack_noise`.
+worker thread, in row blocks, while the caller computes what the noise is
+added to; see :meth:`GaussianMechanism.start_stack_noise`.
 """
 
 from __future__ import annotations
@@ -16,19 +16,21 @@ import math
 import os
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 __all__ = ["GaussianMechanism", "calibrate_sigma", "epsilon_for_sigma"]
 
 #: Smallest stacked noise draw (``B * P`` normals, 1 MiB of float64) that
-#: :meth:`GaussianMechanism.start_stack_noise` hands to the worker thread.
-#: Below it the thread handoff and the GIL reacquisition cost more than the
-#: draw they hide.
+#: :meth:`GaussianMechanism.start_stack_noise` hands to the worker thread,
+#: and the least a row block of such a draw holds.  Below it the thread
+#: handoff and the GIL reacquisition cost more than the draw they hide.
 OFFLOAD_MIN_DRAWS = 1 << 17
 
 _noise_worker: Optional[ThreadPoolExecutor] = None
+#: cleared by :func:`draw_noise_inline` in processes that must not start a thread
+_offload_allowed = True
 
 
 def _noise_executor() -> ThreadPoolExecutor:
@@ -48,6 +50,68 @@ def _forget_noise_executor() -> None:
 
 if hasattr(os, "register_at_fork"):  # absent where processes cannot fork
     os.register_at_fork(after_in_child=_forget_noise_executor)
+
+
+def draw_noise_inline() -> None:
+    """Draw every stacked noise of this process on the calling thread.
+
+    For a process that shares its cores with others busy the same way (a
+    pool worker): the noise thread would only compete with them.  The RNG
+    stream is the same either way.
+    """
+    global _offload_allowed
+    _offload_allowed = False
+
+
+class StackNoise:
+    """A ``(B, P)`` noise draw delivered in row blocks, in stream order.
+
+    Each block holds ``ceil(OFFLOAD_MIN_DRAWS / P)`` rows (the last may hold
+    fewer).  Iterating yields the blocks in order: an offloaded draw's blocks
+    were all submitted, in order, to the single noise thread, which runs them
+    first in, first out, so consuming ``rng`` exactly as one ``(B, P)`` draw
+    does; iteration waits for each.  Otherwise each block is drawn on the
+    calling thread when it is reached.  Until every block is drawn nothing
+    else may use ``rng``; a caller abandoning the step calls :meth:`wait`.
+    """
+
+    def __init__(
+        self,
+        mechanism: "GaussianMechanism",
+        shape: Tuple[int, int],
+        rng: np.random.Generator,
+        offload: bool,
+    ) -> None:
+        self.mechanism = mechanism
+        self.shape = shape
+        batch, width = shape
+        rows = max(1, -(-OFFLOAD_MIN_DRAWS // max(width, 1)))
+        self.row_bounds = [(start, min(start + rows, batch)) for start in range(0, batch, rows)]
+        self._rng = rng
+        self._pending: Optional[List["Future[np.ndarray]"]] = None
+        if offload:
+            # Allocated here, on the calling thread: a buffer allocated on
+            # the worker would live in that thread's own malloc arena.
+            buffer = np.empty(shape, dtype=np.float64)
+            worker = _noise_executor()
+            self._pending = [
+                worker.submit(mechanism.fill_noise, buffer[start:stop], rng)
+                for start, stop in self.row_bounds
+            ]
+
+    def __iter__(self) -> Iterator[np.ndarray]:
+        if self._pending is not None:
+            for block in self._pending:
+                yield block.result()
+            return
+        for start, stop in self.row_bounds:
+            block = np.empty((stop - start, self.shape[1]), dtype=np.float64)
+            yield self.mechanism.fill_noise(block, self._rng)
+
+    def wait(self) -> None:
+        """Wait until no block of an offloaded draw is still using ``rng``."""
+        for block in self._pending or ():
+            block.exception()
 
 
 def calibrate_sigma(epsilon: float, delta: float) -> float:
@@ -135,29 +199,25 @@ class GaussianMechanism:
 
     def start_stack_noise(
         self, shape: Tuple[int, int], rng: np.random.Generator
-    ) -> Optional["Future[np.ndarray]"]:
-        """Start drawing :meth:`add_noise_to_stack`'s ``(B, P)`` noise in the background.
+    ) -> Optional[StackNoise]:
+        """Start drawing a ``(B, P)`` stack's noise in row blocks; see :class:`StackNoise`.
 
-        When the draw has at least :data:`OFFLOAD_MIN_DRAWS` normals, the
-        buffer is allocated here, on the calling thread (a buffer allocated
-        on the worker would live in that thread's own malloc arena), and
-        filled by :meth:`fill_noise` on the process's noise thread; numpy's
-        bulk fill releases the GIL.  Returns the in-flight draw, to be passed
-        to :meth:`add_noise_to_stack`, or ``None`` when the draw is small
-        enough to be left to that call.  Until the draw completes nothing
-        else may use ``rng``, and the caller must wait for it (e.g.
-        ``pending.exception()``) even when it abandons the step.
+        When the draw has at least :data:`OFFLOAD_MIN_DRAWS` normals, its
+        blocks are filled by :meth:`fill_noise` on the process's noise thread
+        (numpy's bulk fill releases the GIL) while the caller computes what
+        they are added to; a smaller draw is one block, drawn on the calling
+        thread when it is consumed.  Returns ``None`` when the noise is zero.
         """
-        if self.stddev == 0.0 or shape[0] * shape[1] < OFFLOAD_MIN_DRAWS:
+        if self.stddev == 0.0:
             return None
-        buffer = np.empty(shape, dtype=np.float64)
-        return _noise_executor().submit(self.fill_noise, buffer, rng)
+        offload = _offload_allowed and shape[0] * shape[1] >= OFFLOAD_MIN_DRAWS
+        return StackNoise(self, shape, rng, offload)
 
     def add_noise_to_stack(
         self,
         stack: Sequence[np.ndarray],
         rng: Optional[np.random.Generator] = None,
-        pending: Optional["Future[np.ndarray]"] = None,
+        noise: Optional[np.ndarray] = None,
     ) -> List[np.ndarray]:
         """Noise a stacked per-example representation in a single RNG call.
 
@@ -170,33 +230,31 @@ class GaussianMechanism:
         a fixed seed yields a bitwise-identical sanitized update on either
         path.
 
-        ``pending`` is that same draw already started by
-        :meth:`start_stack_noise`; it is waited for instead of drawing from
-        ``rng``.  The returned arrays are views of the noise buffer, into
-        which ``stack`` has been added in place.
+        ``noise`` is that ``(B, total)`` draw already made (a block of a
+        :class:`StackNoise`); it is used instead of drawing from ``rng``.
+        The returned arrays are views of the noise buffer, into which
+        ``stack`` has been added in place.
         """
         if self.stddev == 0.0:
             return [np.array(value, dtype=np.float64, copy=True) for value in stack]
         if not stack:
             return []
         batch = stack[0].shape[0]
-        sizes = [int(np.prod(value.shape[1:], dtype=np.int64)) for value in stack]
+        sizes = [math.prod(value.shape[1:]) for value in stack]
         shape = (batch, int(sum(sizes)))
-        if pending is not None:
-            flat_noise = pending.result()
-            if flat_noise.shape != shape:
-                raise ValueError(
-                    f"pending noise has shape {flat_noise.shape}; the stack needs {shape}"
-                )
-        else:
+        if noise is None:
             rng = rng if rng is not None else np.random.default_rng()
             flat_noise = self.fill_noise(np.empty(shape, dtype=np.float64), rng)
+        elif noise.shape != shape:
+            raise ValueError(f"noise has shape {noise.shape}; the stack needs {shape}")
+        else:
+            flat_noise = noise
         noised: List[np.ndarray] = []
         offset = 0
         for value, size in zip(stack, sizes):
-            noise = flat_noise[:, offset : offset + size].reshape(value.shape)
-            noise += value
-            noised.append(noise)
+            layer_noise = flat_noise[:, offset : offset + size].reshape(value.shape)
+            layer_noise += value
+            noised.append(layer_noise)
             offset += size
         return noised
 

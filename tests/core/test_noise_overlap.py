@@ -1,10 +1,12 @@
 """Fed-CDP's overlapped noise draw: same RNG stream as the inline draw.
 
-A large ``(B, P)`` per-example noise draw runs on the noise thread while the
-per-example replay and the clip run (``GaussianMechanism.start_stack_noise``).
-Nothing in between draws from the client ``rng``, so the overlapped path must
-be bit-identical to the inline one; these tests force each path by patching
-``OFFLOAD_MIN_DRAWS`` to 0 (always overlap) or beyond any draw (never).
+A large ``(B, P)`` per-example noise draw runs on the noise thread, in row
+blocks, while the per-example replay runs, and each block is clipped, noised
+and averaged as it lands (``GaussianMechanism.start_stack_noise``,
+``clip_noise_mean``).  Nothing in between draws from the client ``rng``, so
+the overlapped path must be bit-identical to the inline one; these tests
+force each path by patching ``OFFLOAD_MIN_DRAWS`` to 0 (always overlap, in
+1-row blocks) or beyond any draw (never).
 """
 
 from __future__ import annotations
@@ -25,8 +27,9 @@ from repro.core import FedCDPTrainer
 from repro.data import generate_dataset, get_dataset_spec
 from repro.experiments.harness import quick_config
 from repro.federated import FederatedSimulation
-from repro.nn import build_model_for_dataset
+from repro.nn import build_image_cnn, build_model_for_dataset, build_tabular_mlp, per_example_gradients
 from repro.privacy import GaussianMechanism, mechanisms
+from repro.privacy.clipping import clip_noise_mean, clip_per_example_stack, per_example_layer_norms
 
 NEVER = sys.maxsize
 
@@ -58,25 +61,113 @@ def test_fill_noise_is_bitwise_rng_normal(threshold, monkeypatch):
     assert filled_rng.bit_generator.state == reference_rng.bit_generator.state
 
 
+def _drawn_on_the_thread(noise, rng):
+    """Whether ``noise`` was drawn on the noise thread: an inline draw has
+    not touched ``rng`` before it is iterated."""
+    state = rng.bit_generator.state
+    noise.wait()
+    return rng.bit_generator.state != state
+
+
 def test_start_stack_noise_offloads_only_large_draws():
     mechanism = GaussianMechanism(noise_scale=1.0, sensitivity=1.0)
+    assert GaussianMechanism(0.0, 1.0).start_stack_noise((16, 1 << 20), np.random.default_rng(0)) is None
+    small = (4, mechanisms.OFFLOAD_MIN_DRAWS // 4 - 1)
+    large = (5, mechanisms.OFFLOAD_MIN_DRAWS // 2)  # blocks of 2, 2 and 1 rows
+    for shape, offloaded, bounds in [(small, False, [(0, 4)]), (large, True, [(0, 2), (2, 4), (4, 5)])]:
+        rng = np.random.default_rng(0)
+        noise = mechanism.start_stack_noise(shape, rng)
+        assert noise.row_bounds == bounds
+        assert _drawn_on_the_thread(noise, rng) is offloaded
+        blocks = list(noise)
+        assert [len(block) for block in blocks] == [stop - start for start, stop in bounds]
+        np.testing.assert_array_equal(
+            np.concatenate(blocks), np.random.default_rng(0).normal(0.0, 1.0, size=shape)
+        )
+
+
+def test_draw_noise_inline_keeps_large_draws_on_the_caller(monkeypatch):
+    monkeypatch.setattr(mechanisms, "_offload_allowed", True)
+    mechanisms.draw_noise_inline()
+    mechanism = GaussianMechanism(noise_scale=1.0, sensitivity=1.0)
+    shape = (5, mechanisms.OFFLOAD_MIN_DRAWS // 2)
     rng = np.random.default_rng(0)
-    assert mechanism.start_stack_noise((4, mechanisms.OFFLOAD_MIN_DRAWS // 4 - 1), rng) is None
-    assert GaussianMechanism(0.0, 1.0).start_stack_noise((16, 1 << 20), rng) is None
-    pending = mechanism.start_stack_noise((2, mechanisms.OFFLOAD_MIN_DRAWS // 2), rng)
-    assert pending is not None
+    noise = mechanism.start_stack_noise(shape, rng)
+    assert not _drawn_on_the_thread(noise, rng)
+    assert noise.row_bounds == [(0, 2), (2, 4), (4, 5)]
     np.testing.assert_array_equal(
-        pending.result(),
-        np.random.default_rng(0).normal(0.0, 1.0, size=(2, mechanisms.OFFLOAD_MIN_DRAWS // 2)),
+        np.concatenate(list(noise)), np.random.default_rng(0).normal(0.0, 1.0, size=shape)
     )
 
 
-def test_add_noise_to_stack_rejects_mismatched_pending_draw(monkeypatch):
-    monkeypatch.setattr(mechanisms, "OFFLOAD_MIN_DRAWS", 0)
+def test_add_noise_to_stack_rejects_mismatched_noise_block():
     mechanism = GaussianMechanism(noise_scale=1.0, sensitivity=1.0)
-    pending = mechanism.start_stack_noise((2, 5), np.random.default_rng(0))
-    with pytest.raises(ValueError, match="pending noise"):
-        mechanism.add_noise_to_stack([np.zeros((2, 3)), np.zeros((2, 3))], pending=pending)
+    with pytest.raises(ValueError, match="noise has shape"):
+        mechanism.add_noise_to_stack([np.zeros((2, 3)), np.zeros((2, 3))], noise=np.zeros((2, 5)))
+
+
+def test_clip_noise_mean_rejects_a_draw_short_of_the_stack():
+    mechanism = GaussianMechanism(noise_scale=1.0, sensitivity=1.0)
+    stack = [np.ones((4, 3)), np.ones((4, 2))]
+    noise = mechanism.start_stack_noise((3, 5), np.random.default_rng(0))
+    with pytest.raises(ValueError, match="covers 3 rows"):
+        clip_noise_mean(stack, per_example_layer_norms(stack), 1.0, noise)
+
+
+def _uneven(width):
+    """An ``OFFLOAD_MIN_DRAWS`` giving 3-row blocks at ``width`` draws per row."""
+    return 2 * width + 1
+
+
+@pytest.mark.parametrize("layout", ["inline", "one_row", "uneven"])
+@pytest.mark.parametrize("sigma", [0.0, 1.5])
+@pytest.mark.parametrize("batch", [1, 3, 4, 16, 17])
+@pytest.mark.parametrize("family", ["mlp", "cnn"])
+def test_clip_noise_mean_is_bitwise_clip_then_noise_then_mean(family, batch, sigma, layout, monkeypatch):
+    if family == "mlp":
+        model = build_tabular_mlp(12, 4, hidden_sizes=(16, 8), seed=3)
+        shape = (batch, 12)
+    else:
+        model = build_image_cnn((1, 8, 8), 3, conv_channels=(3, 5), seed=4)
+        shape = (batch, 1, 8, 8)
+    data = np.random.default_rng(batch)
+    stack, _ = per_example_gradients(model, data.normal(size=shape), data.integers(0, 3, size=batch))
+    width = sum(int(np.prod(layer.shape[1:])) for layer in stack)
+    threshold = {"inline": NEVER, "one_row": 0, "uneven": _uneven(width)}[layout]
+    monkeypatch.setattr(mechanisms, "OFFLOAD_MIN_DRAWS", threshold)
+    bound = 0.05  # small enough that clipping is active
+    mechanism = GaussianMechanism(sigma, bound)
+
+    reference_rng = np.random.default_rng(9)
+    clipped, layer_norms = clip_per_example_stack(stack, bound)
+    noised = mechanism.add_noise_to_stack(clipped, rng=reference_rng)
+    reference = [layer.mean(axis=0) for layer in noised]
+
+    rng = np.random.default_rng(9)
+    noise = mechanism.start_stack_noise((batch, width), rng)
+    if sigma > 0 and layout == "uneven":
+        assert {stop - start for start, stop in noise.row_bounds} <= {3, batch % 3 or 3}
+    fused = clip_noise_mean(stack, layer_norms, bound, noise)
+    for got, want in zip(fused, reference):
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("layout", ["inline", "one_row", "uneven"])
+def test_step_leaves_rng_after_one_full_draw(mnist_setup, monkeypatch, layout):
+    spec, config, dataset, _ = mnist_setup
+    trainer = _trainer(spec, config)
+    num_params = sum(w.size for w in trainer.model.get_weights())
+    threshold = {"inline": NEVER, "one_row": 0, "uneven": _uneven(num_params)}[layout]
+    monkeypatch.setattr(mechanisms, "OFFLOAD_MIN_DRAWS", threshold)
+    features, labels = dataset.features[:16], dataset.labels[:16]
+    rng = np.random.default_rng(11)
+    trainer.sanitized_stack_mean(features, labels, 0, rng)
+    reference = np.random.default_rng(11)
+    reference.standard_normal((len(features), num_params))
+    assert rng.bit_generator.state == reference.bit_generator.state
 
 
 def test_client_step_overlapped_matches_inline(mnist_setup, monkeypatch):
@@ -184,6 +275,27 @@ def test_forked_workers_after_overlapped_steps_match_serial():
         stdout, stderr = process.communicate(timeout=120)
     except subprocess.TimeoutExpired:
         os.killpg(process.pid, signal.SIGKILL)  # the pool workers too
+        process.communicate()
+        pytest.fail("forked workers hung after the parent ran overlapped noise draws")
+    assert process.returncode == 0, stderr
+    assert "fork-ok" in stdout
+
+
+@pytest.mark.skipif(not hasattr(os, "register_at_fork"), reason="needs fork")
+def test_forked_workers_on_their_own_noise_threads_match_serial():
+    """The same as above with the workers' core budget forced open, so each
+    forked worker offloads its noise whatever this machine's core count."""
+    script = "from repro.federated import executor\nexecutor._usable_cores = lambda: 64\n" + _FORK_SCRIPT
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+    process = subprocess.Popen(
+        [sys.executable, "-c", script],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        start_new_session=True,
+    )
+    try:
+        stdout, stderr = process.communicate(timeout=120)
+    except subprocess.TimeoutExpired:
+        os.killpg(process.pid, signal.SIGKILL)
         process.communicate()
         pytest.fail("forked workers hung after the parent ran overlapped noise draws")
     assert process.returncode == 0, stderr

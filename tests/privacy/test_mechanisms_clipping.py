@@ -14,10 +14,12 @@ from repro.privacy import (
     calibrate_sigma,
     clip_by_l2_norm,
     clip_gradients_per_layer,
+    clip_noise_mean,
     clip_per_example_stack,
     epsilon_for_sigma,
     global_l2_norm,
     l2_norm,
+    per_example_layer_norms,
 )
 
 
@@ -152,6 +154,13 @@ def test_both_clipping_paths_reject_non_finite_bounds(rng, bound):
         clip_by_l2_norm(rng.normal(size=5), bound)
     with pytest.raises(ValueError, match="clipping bound"):
         clip_per_example_stack([rng.normal(size=(3, 5))], bound)
+
+
+@pytest.mark.parametrize("bound", NON_FINITE)
+def test_fused_clip_noise_mean_rejects_non_finite_bounds(rng, bound):
+    stack = [rng.normal(size=(3, 5))]
+    with pytest.raises(ValueError, match="clipping bound"):
+        clip_noise_mean(stack, per_example_layer_norms(stack), bound)
 
 
 @pytest.mark.parametrize("bound", NON_FINITE)
