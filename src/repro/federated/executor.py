@@ -43,7 +43,6 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.data.dataset import Dataset
-from repro.privacy.mechanisms import draw_noise_inline
 from repro.rng import domain_seed_sequence
 
 from .config import EXECUTORS, FederatedConfig
@@ -190,9 +189,7 @@ _WORKER_STATE: dict = {}
 _WORKER_SHARD_CACHE_LIMIT = 1024
 
 
-def _worker_initializer(
-    config: FederatedConfig, data_payload: Optional[tuple], num_workers: int
-) -> None:
+def _worker_initializer(config: FederatedConfig, data_payload: Optional[tuple]) -> None:
     """Build the model, trainer and a lazy client population once per worker.
 
     ``data_payload`` is ``None`` when the training data is the config's
@@ -203,14 +200,7 @@ def _worker_initializer(
     :class:`~repro.data.population.LazyClientPopulation` construction as the
     parent simulation (identical main-RNG consumption), so worker-side shards
     are bit-identical to the parent's at every scale.
-
-    The pool's ``num_workers`` share one core budget: when a noise thread
-    per worker would make more busy threads than this process may run on
-    cores, the worker draws its Fed-CDP noise on its own thread (same RNG
-    stream, see :func:`repro.privacy.mechanisms.draw_noise_inline`).
     """
-    if 2 * num_workers > _usable_cores():
-        draw_noise_inline()
     # Imported here so the (spawned) worker pays the import cost once, and to
     # avoid an import cycle at module load time.
     from repro.core.factory import make_trainer
@@ -337,7 +327,7 @@ class MultiprocessingClientExecutor(ClientExecutor):
             self._pool = context.Pool(
                 processes=self.num_workers,
                 initializer=_worker_initializer,
-                initargs=(self.config, self._data_payload, self.num_workers),
+                initargs=(self.config, self._data_payload),
             )
         return self._pool
 

@@ -185,6 +185,7 @@ def clip_noise_mean(
         stop = batch if block is None else start + block.shape[0]
         clipped = [flat[start:stop] / scale[start:stop] for flat, scale in zip(flats, scales)]
         if block is not None:
+            # the mechanism's add, not a bare one: benchmarks/e2e/tracing.py times it as `noise`
             clipped = noise.mechanism.add_noise_to_stack(clipped, noise=block)
         for total, rows in zip(sums, clipped):
             for row in rows:

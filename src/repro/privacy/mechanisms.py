@@ -29,8 +29,6 @@ __all__ = ["GaussianMechanism", "calibrate_sigma", "epsilon_for_sigma"]
 OFFLOAD_MIN_DRAWS = 1 << 17
 
 _noise_worker: Optional[ThreadPoolExecutor] = None
-#: cleared by :func:`draw_noise_inline` in processes that must not start a thread
-_offload_allowed = True
 
 
 def _noise_executor() -> ThreadPoolExecutor:
@@ -50,17 +48,6 @@ def _forget_noise_executor() -> None:
 
 if hasattr(os, "register_at_fork"):  # absent where processes cannot fork
     os.register_at_fork(after_in_child=_forget_noise_executor)
-
-
-def draw_noise_inline() -> None:
-    """Draw every stacked noise of this process on the calling thread.
-
-    For a process that shares its cores with others busy the same way (a
-    pool worker): the noise thread would only compete with them.  The RNG
-    stream is the same either way.
-    """
-    global _offload_allowed
-    _offload_allowed = False
 
 
 class StackNoise:
@@ -210,7 +197,7 @@ class GaussianMechanism:
         """
         if self.stddev == 0.0:
             return None
-        offload = _offload_allowed and shape[0] * shape[1] >= OFFLOAD_MIN_DRAWS
+        offload = shape[0] * shape[1] >= OFFLOAD_MIN_DRAWS
         return StackNoise(self, shape, rng, offload)
 
     def add_noise_to_stack(

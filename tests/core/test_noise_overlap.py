@@ -86,20 +86,6 @@ def test_start_stack_noise_offloads_only_large_draws():
         )
 
 
-def test_draw_noise_inline_keeps_large_draws_on_the_caller(monkeypatch):
-    monkeypatch.setattr(mechanisms, "_offload_allowed", True)
-    mechanisms.draw_noise_inline()
-    mechanism = GaussianMechanism(noise_scale=1.0, sensitivity=1.0)
-    shape = (5, mechanisms.OFFLOAD_MIN_DRAWS // 2)
-    rng = np.random.default_rng(0)
-    noise = mechanism.start_stack_noise(shape, rng)
-    assert not _drawn_on_the_thread(noise, rng)
-    assert noise.row_bounds == [(0, 2), (2, 4), (4, 5)]
-    np.testing.assert_array_equal(
-        np.concatenate(list(noise)), np.random.default_rng(0).normal(0.0, 1.0, size=shape)
-    )
-
-
 def test_add_noise_to_stack_rejects_mismatched_noise_block():
     mechanism = GaussianMechanism(noise_scale=1.0, sensitivity=1.0)
     with pytest.raises(ValueError, match="noise has shape"):
@@ -275,27 +261,6 @@ def test_forked_workers_after_overlapped_steps_match_serial():
         stdout, stderr = process.communicate(timeout=120)
     except subprocess.TimeoutExpired:
         os.killpg(process.pid, signal.SIGKILL)  # the pool workers too
-        process.communicate()
-        pytest.fail("forked workers hung after the parent ran overlapped noise draws")
-    assert process.returncode == 0, stderr
-    assert "fork-ok" in stdout
-
-
-@pytest.mark.skipif(not hasattr(os, "register_at_fork"), reason="needs fork")
-def test_forked_workers_on_their_own_noise_threads_match_serial():
-    """The same as above with the workers' core budget forced open, so each
-    forked worker offloads its noise whatever this machine's core count."""
-    script = "from repro.federated import executor\nexecutor._usable_cores = lambda: 64\n" + _FORK_SCRIPT
-    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
-    process = subprocess.Popen(
-        [sys.executable, "-c", script],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
-        start_new_session=True,
-    )
-    try:
-        stdout, stderr = process.communicate(timeout=120)
-    except subprocess.TimeoutExpired:
-        os.killpg(process.pid, signal.SIGKILL)
         process.communicate()
         pytest.fail("forked workers hung after the parent ran overlapped noise draws")
     assert process.returncode == 0, stderr

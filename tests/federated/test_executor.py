@@ -18,7 +18,6 @@ import pytest
 
 from repro.experiments.harness import quick_config
 from repro.federated import FederatedConfig, FederatedSimulation
-from repro.federated import executor as executor_module
 from repro.federated.executor import (
     MultiprocessingClientExecutor,
     SerialClientExecutor,
@@ -27,7 +26,6 @@ from repro.federated.executor import (
     make_executor,
     spawn_client_seeds,
 )
-from repro.privacy import mechanisms
 
 #: tolerance demanded by the acceptance criteria; the backends are in fact
 #: bit-identical, so the assertions below use exact comparison where possible
@@ -101,16 +99,6 @@ def test_domain_seed_sequence_is_the_shared_stream_root():
 def test_default_num_workers_bounds():
     assert default_num_workers(1) == 1
     assert 1 <= default_num_workers(1000) <= 1000
-
-
-@pytest.mark.parametrize("cores, workers, offload", [(2, 1, True), (2, 2, False), (4, 2, True), (4, 3, False)])
-def test_pool_workers_offload_noise_only_within_the_core_budget(monkeypatch, cores, workers, offload):
-    """A worker and its noise thread are two busy threads; the pool's must fit the cores."""
-    monkeypatch.setattr(mechanisms, "_offload_allowed", True)
-    monkeypatch.setattr(executor_module, "_usable_cores", lambda: cores)
-    monkeypatch.setattr(executor_module, "_WORKER_STATE", {})
-    executor_module._worker_initializer(quick_config("mnist", "fed_cdp"), None, workers)
-    assert mechanisms._offload_allowed is offload
 
 
 # ----------------------------------------------------------------------
