@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 from conftest import run_once
 
-from repro.attacks import AttackConfig, GradientReconstructionAttack, SEED_KINDS
+from repro.attacks import AttackConfig, MultiRestartReconstruction, SEED_KINDS
 from repro.autodiff import Tensor, grad
 from repro.data import generate_dataset, get_dataset_spec
 from repro.experiments import format_table
@@ -31,17 +31,17 @@ def _run_seed_ablation(seed: int = 0, max_iterations: int = 120):
     results = {}
     rows = []
     for kind in SEED_KINDS:
-        attack = GradientReconstructionAttack(
+        attack = MultiRestartReconstruction(
             model, AttackConfig(max_iterations=max_iterations, seed_kind=kind)
         )
-        outcome = attack.run(target, x.shape[1:], ground_truth=x[0], labels=y, rng=np.random.default_rng(seed))
+        outcome = attack.run(target, x.shape[1:], [np.random.default_rng(seed)], ground_truth=x[0], labels=y)
         results[kind] = outcome
         rows.append([kind, outcome.succeeded, outcome.num_iterations, outcome.reconstruction_distance])
 
     # budget ablation: the patterned seed with half the iteration budget
-    short_budget = GradientReconstructionAttack(
+    short_budget = MultiRestartReconstruction(
         model, AttackConfig(max_iterations=max_iterations // 4, seed_kind="patterned")
-    ).run(target, x.shape[1:], ground_truth=x[0], labels=y, rng=np.random.default_rng(seed))
+    ).run(target, x.shape[1:], [np.random.default_rng(seed)], ground_truth=x[0], labels=y)
     rows.append(["patterned (1/4 budget)", short_budget.succeeded, short_budget.num_iterations,
                  short_budget.reconstruction_distance])
     table = format_table(

@@ -8,7 +8,7 @@ from .adaptive import (
     tune_attack_budget,
 )
 from .metrics import attack_success_rate, mean_attack_iterations, psnr, reconstruction_distance
-from .multistart import MultiRestartReconstruction, MultiRestartResult
+from .multistart import MultiRestartReconstruction
 from .objectives import (
     OBJECTIVE_KINDS,
     build_matching_loss,
@@ -16,12 +16,7 @@ from .objectives import (
     l2_matching_loss,
     total_variation,
 )
-from .reconstruction import (
-    AttackConfig,
-    AttackResult,
-    GradientReconstructionAttack,
-    infer_label_from_gradients,
-)
+from .reconstruction import AttackConfig, AttackResult, infer_label_from_gradients
 from .schedule import (
     ATTACK_DOMAIN,
     MEMBERSHIP_ATTACK_DOMAIN,
@@ -34,9 +29,7 @@ from .threat import LEAKAGE_TYPES, GradientLeakageThreat, LeakageObservation
 __all__ = [
     "AttackConfig",
     "AttackResult",
-    "GradientReconstructionAttack",
     "MultiRestartReconstruction",
-    "MultiRestartResult",
     "AttackSchedule",
     "ATTACK_DOMAIN",
     "MEMBERSHIP_ATTACK_DOMAIN",

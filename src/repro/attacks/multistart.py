@@ -1,14 +1,16 @@
-"""Batched multi-restart gradient reconstruction (the in-loop attack engine).
+"""Batched multi-restart gradient reconstruction: the one attack engine.
 
-The reconstruction attack of :mod:`repro.attacks.reconstruction` is sensitive
-to its dummy-seed initialisation (Section III of the paper), so a serious
-adversary restarts it from several seeds and keeps the best reconstruction.
-Run naively, ``R`` restarts cost ``R`` full L-BFGS optimisations — far too
-slow to execute inside every attacked round of a federated simulation.
+The reconstruction attack described in :mod:`repro.attacks.reconstruction` is
+sensitive to its dummy-seed initialisation (Section III of the paper), so a
+serious adversary restarts it from several seeds and keeps the best
+reconstruction.  Run naively, ``R`` restarts cost ``R`` full L-BFGS
+optimisations — far too slow to execute inside every attacked round of a
+federated simulation.
 
 This module runs all restarts as **one batched optimisation** instead: the
-``R`` dummy inputs are stacked into a single ``(R, *example_shape)`` batch
-and optimised jointly under the separable objective
+``R`` dummy inputs — each a batch of ``batch_size`` examples — are stacked
+into a single ``(R, batch_size, *example_shape)`` array and optimised jointly
+under the separable objective
 
     J(x_1, ..., x_R) = sum_r  J(x_r)
 
@@ -16,19 +18,22 @@ where ``J(x_r)`` is restart ``r``'s gradient-matching loss against the leaked
 target (any objective of :mod:`repro.attacks.objectives`, including the
 cosine loss and the total-variation prior).  The engine is the batched-graph
 transform of :mod:`repro.autodiff.batched`: the *single-restart* objective —
-forward pass, ``create_graph=True`` parameter gradients, matching loss and
-its input gradient — is traced once per attack, and every L-BFGS evaluation
-replays that trace over the stacked restarts in one batched pass.  Because
-every batch rule maps restarts independently, the restarts never interact:
-their gradient blocks are exactly what ``R`` standalone optimisations would
+forward pass, ``create_graph=True`` parameter gradients (of the mean
+cross-entropy over the restart's batch), matching loss and its input
+gradient — is traced once per attack, and every L-BFGS evaluation replays
+that trace over the stacked restarts in one batched pass.  Because every
+batch rule maps restarts independently, the restarts never interact: their
+gradient blocks are exactly what ``R`` standalone optimisations would
 compute, and each restart's loss trajectory matches a single-restart run of
 the same objective.
 
-This replaces the PR-5 dense-rule construction, which hand-assembled
-per-restart L2 losses from ``Dense``-layer outer products and therefore
-excluded conv models, the cosine objective and the TV prior — all of which
-now run vectorized.  The looped evaluation of the same joint objective is
-kept as the fallback for models outside the traceable family
+Both attack settings run here.  The offline threat harness
+(:mod:`repro.attacks.threat`: Table VII, Figures 1 and 4, the ablations)
+runs one restart over the leaked batch — a batch of 3 for the type-0/1
+attack, of 1 for type-2 — and the in-loop adversary
+(:mod:`repro.attacks.schedule`) runs ``attack_seeds`` restarts of one
+example.  The eager evaluation of the same joint objective, one restart at a
+time, is kept as the fallback for models outside the traceable family
 (:func:`repro.nn.perexample.is_traceable`) and is regression-tested against
 the batched path.  Every supported objective and prior is composed from
 replayable primitives, so the model alone decides which path runs.
@@ -36,64 +41,32 @@ replayable primitives, so the model alone decides which path runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import optimize
 
-from repro.autodiff import BatchedGraph, Tensor, grad, logsumexp, mul, tracing, tsum
+from repro.autodiff import BatchedGraph, Tensor, grad, logsumexp, mean, mul, tracing, tsum
+from repro.nn import CrossEntropyLoss
 from repro.nn.models import Sequential
 from repro.nn.perexample import is_traceable
 
 from .metrics import psnr as compute_psnr
 from .metrics import reconstruction_distance
 from .objectives import build_matching_loss
-from .reconstruction import AttackConfig, GradientReconstructionAttack
+from .reconstruction import AttackConfig, AttackResult, infer_label_from_gradients
 from .seeds import make_seed
 
-__all__ = [
-    "MultiRestartResult",
-    "MultiRestartReconstruction",
-]
-
-
-@dataclass
-class MultiRestartResult:
-    """Outcome of one batched multi-restart reconstruction."""
-
-    #: whether any restart's matching loss reached the success threshold
-    succeeded: bool
-    #: joint optimiser iterations performed before success / give-up
-    num_iterations: int
-    #: best matching loss across restarts (the winning restart's loss)
-    final_loss: float
-    #: RMSE between the winning reconstruction and the private ground truth
-    reconstruction_distance: float
-    #: PSNR (dB) of the winning reconstruction over the config's value range
-    psnr: float
-    #: the winning restart's reconstruction, shaped like one example
-    reconstruction: np.ndarray
-    #: index of the restart that produced the best matching loss
-    best_restart: int
-    #: number of restarts optimised jointly
-    restarts: int
-    #: best matching loss reached by each restart
-    per_restart_losses: List[float] = field(default_factory=list)
-    #: True when the batched-graph path ran (False = looped fallback)
-    vectorized: bool = False
-    #: label(s) the adversary used
-    labels_used: Optional[np.ndarray] = None
+__all__ = ["MultiRestartReconstruction"]
 
 
 class MultiRestartReconstruction:
-    """Reconstruct one private example from R dummy seeds in one optimisation."""
+    """Reconstruct a private batch from R dummy seeds in one optimisation."""
 
     def __init__(self, model: Sequential, config: Optional[AttackConfig] = None) -> None:
         self.model = model
         self.config = config if config is not None else AttackConfig()
-        # the looped fallback reuses the single-restart objective machinery
-        self._single = GradientReconstructionAttack(model, self.config)
+        self._loss_fn = CrossEntropyLoss()
         # single-slot trace cache: (key, BatchedGraph, num_classes, pinned
         # target arrays).  The targets are baked into the graph by reference,
         # so the key includes their identities and the cache pins them alive.
@@ -103,25 +76,27 @@ class MultiRestartReconstruction:
     # Batched-graph objective: trace once, replay per L-BFGS evaluation
     # ------------------------------------------------------------------
     def _restart_trace(
-        self, example_shape: Tuple[int, ...], target_gradients: Sequence[np.ndarray]
+        self, input_shape: Tuple[int, ...], target_gradients: Sequence[np.ndarray]
     ) -> Tuple[BatchedGraph, int]:
         params = self.model.parameters()
         key = (
-            tuple(example_shape),
+            tuple(input_shape),
             tuple(id(g) for g in target_gradients),
             tuple(id(p) for p in params),
         )
         if self._trace is not None and self._trace[0] == key:
             return self._trace[1], self._trace[2]
 
-        dummy = Tensor(np.zeros((1,) + tuple(example_shape)), requires_grad=True)
+        batch_size = input_shape[0]
+        dummy = Tensor(np.zeros(input_shape), requires_grad=True)
         with tracing():
             logits = self.model(dummy)
             num_classes = logits.shape[-1]
-            targets = Tensor(np.zeros((1, num_classes)))
-            # single-example cross-entropy with the one-hot label as a
-            # replayable leaf (sum == mean over a batch of one)
-            loss = tsum(logsumexp(logits, axis=-1) - tsum(mul(logits, targets), axis=-1))
+            targets = Tensor(np.zeros((batch_size, num_classes)))
+            # cross-entropy with the one-hot labels as a replayable leaf; a
+            # batch of one takes the sum, which equals its mean
+            per_example = logsumexp(logits, axis=-1) - tsum(mul(logits, targets), axis=-1)
+            loss = tsum(per_example) if batch_size == 1 else mean(per_example)
             dummy_gradients = grad(loss, params, create_graph=True)
             matching = build_matching_loss(
                 self.config.objective,
@@ -140,19 +115,18 @@ class MultiRestartReconstruction:
     def _objective_vectorized(
         self,
         flat: np.ndarray,
-        batch_shape: Tuple[int, ...],
+        restarts: int,
+        input_shape: Tuple[int, ...],
         labels: np.ndarray,
         target_gradients: Sequence[np.ndarray],
     ) -> Tuple[float, np.ndarray, np.ndarray]:
-        restarts = batch_shape[0]
-        example_shape = tuple(batch_shape[1:])
-        graph, num_classes = self._restart_trace(example_shape, target_gradients)
-        onehot = np.zeros((restarts, num_classes), dtype=np.float64)
-        onehot[np.arange(restarts), np.asarray(labels).reshape(-1)] = 1.0
+        graph, num_classes = self._restart_trace(input_shape, target_gradients)
+        onehot = np.zeros((restarts, input_shape[0], num_classes), dtype=np.float64)
+        onehot[:, np.arange(input_shape[0]), labels] = 1.0
         losses, input_gradient = graph.replay(
             {
-                "dummy": np.asarray(flat, dtype=np.float64).reshape((restarts, 1) + example_shape),
-                "targets": onehot[:, None],
+                "dummy": np.asarray(flat, dtype=np.float64).reshape((restarts,) + input_shape),
+                "targets": onehot,
             }
         )
         per_restart = np.asarray(losses, dtype=np.float64).reshape(restarts)
@@ -162,21 +136,41 @@ class MultiRestartReconstruction:
             per_restart,
         )
 
+    # ------------------------------------------------------------------
+    # Looped fallback: the eager objective, one restart at a time
+    # ------------------------------------------------------------------
+    def _gradient_matching_loss_and_grad(
+        self,
+        dummy_flat: np.ndarray,
+        input_shape: Tuple[int, ...],
+        labels: np.ndarray,
+        target_gradients: Sequence[np.ndarray],
+    ) -> Tuple[float, np.ndarray]:
+        """Value and input-gradient of the configured gradient-matching objective."""
+        params = self.model.parameters()
+        dummy = Tensor(dummy_flat.reshape(input_shape), requires_grad=True)
+        loss = self._loss_fn(self.model(dummy), labels)
+        dummy_gradients = grad(loss, params, create_graph=True)
+        matching = build_matching_loss(
+            self.config.objective, dummy_gradients, target_gradients, dummy, tv_weight=self.config.tv_weight
+        )
+        (input_gradient,) = grad(matching, [dummy])
+        return float(matching.item()), input_gradient.numpy().reshape(-1)
+
     def _objective_looped(
         self,
         flat: np.ndarray,
-        batch_shape: Tuple[int, ...],
+        restarts: int,
+        input_shape: Tuple[int, ...],
         labels: np.ndarray,
         target_gradients: Sequence[np.ndarray],
     ) -> Tuple[float, np.ndarray, np.ndarray]:
-        restarts = batch_shape[0]
-        example_shape = (1,) + tuple(batch_shape[1:])
         flats = flat.reshape(restarts, -1)
         per_restart = np.empty(restarts, dtype=np.float64)
         gradients = []
         for restart in range(restarts):
-            value, gradient = self._single._gradient_matching_loss_and_grad(
-                flats[restart], example_shape, labels[restart : restart + 1], target_gradients
+            value, gradient = self._gradient_matching_loss_and_grad(
+                flats[restart], input_shape, labels, target_gradients
             )
             per_restart[restart] = value
             gradients.append(gradient)
@@ -189,23 +183,43 @@ class MultiRestartReconstruction:
         self,
         target_gradients: Sequence[np.ndarray],
         example_shape: Tuple[int, ...],
-        restart_seeds: Sequence[np.random.SeedSequence],
+        restart_rngs: Sequence[np.random.Generator],
         ground_truth: Optional[np.ndarray] = None,
         labels: Optional[np.ndarray] = None,
+        batch_size: int = 1,
         global_weights: Optional[Sequence[np.ndarray]] = None,
-    ) -> MultiRestartResult:
+    ) -> AttackResult:
         """Run the batched multi-restart attack against one leaked gradient.
 
-        ``restart_seeds`` supplies one independent ``SeedSequence`` per dummy
-        restart (the in-loop scheduler keys them on
-        ``(config seed, attack domain, round, client, restart)``), which is
-        the only randomness the attack consumes.
+        Parameters
+        ----------
+        target_gradients:
+            The leaked per-layer gradients (single example for a type-2
+            attack, batch-averaged for type-0/1 attacks).
+        example_shape:
+            Shape of one private example, e.g. ``(1, 28, 28)`` or ``(105,)``.
+        restart_rngs:
+            One generator per dummy restart; restart ``r``'s attack seed is
+            drawn from ``restart_rngs[r]``, which is the only randomness the
+            attack consumes.  The in-loop scheduler passes a fresh generator
+            per restart keyed on ``(config seed, attack domain, round,
+            client, restart)``; the offline harness passes its own ``rng``.
+        ground_truth:
+            Optional private input(s), used only to report the reconstruction
+            distance and PSNR; the attack itself never reads it.
+        labels:
+            The ``batch_size`` true labels when the adversary knows them
+            (``config.label_known``); otherwise inferred from the gradients.
+        batch_size:
+            Number of examples each restart reconstructs jointly (the paper's
+            type-0/1 attack reconstructs a batch of 3).
+        global_weights:
+            Model weights at the moment of the leak; when given, loaded into
+            the model before the attack (the adversary knows the model).
         """
         config = self.config
-        if not restart_seeds:
-            raise ValueError("at least one restart seed is required")
-        if labels is None:
-            raise ValueError("the in-loop attack requires the target label")
+        if not restart_rngs:
+            raise ValueError("at least one restart generator is required")
         if global_weights is not None:
             self.model.set_weights(list(global_weights))
 
@@ -215,19 +229,18 @@ class MultiRestartReconstruction:
                 f"expected {num_params} target gradient blocks (one per model "
                 f"parameter), got {len(target_gradients)}"
             )
-
-        restarts = len(restart_seeds)
-        example_shape = tuple(int(s) for s in example_shape)
-        batch_shape = (restarts,) + example_shape
-        labels = np.broadcast_to(np.asarray(labels, dtype=np.int64).reshape(-1), (restarts,))
         target_gradients = [np.asarray(g, dtype=np.float64) for g in target_gradients]
 
-        dummies = np.stack(
-            [
-                make_seed(config.seed_kind, example_shape, rng=np.random.default_rng(seed))
-                for seed in restart_seeds
-            ]
-        )
+        restarts = len(restart_rngs)
+        example_shape = tuple(int(s) for s in example_shape)
+        input_shape = (batch_size,) + example_shape
+        if labels is None or not config.label_known:
+            labels = np.full(batch_size, infer_label_from_gradients(target_gradients), dtype=np.int64)
+        labels = np.array(labels, dtype=np.int64).reshape(-1)
+        if labels.shape[0] != batch_size:
+            raise ValueError(f"expected {batch_size} labels, got {labels.shape[0]}")
+
+        dummies = np.stack([make_seed(config.seed_kind, input_shape, rng=rng) for rng in restart_rngs])
         low, high = config.value_range
         bounds = optimize.Bounds(low, high)
 
@@ -235,22 +248,25 @@ class MultiRestartReconstruction:
         evaluate = self._objective_vectorized if vectorized else self._objective_looped
 
         if config.objective == "l2":
+            # Scale-aware success criterion: the loss is compared against the
+            # leaked gradient's own squared norm.
             target_squared_norm = float(sum(np.sum(np.square(g)) for g in target_gradients))
             effective_threshold = max(
                 config.success_loss_threshold,
                 config.success_relative_threshold * target_squared_norm,
             )
         else:
+            # The cosine objective is already scale-invariant (range [0, 2]).
             effective_threshold = config.success_loss_threshold
 
         best_losses = np.full(restarts, np.inf)
         best_flats = dummies.reshape(restarts, -1).copy()
         last_losses = np.full(restarts, np.inf)
-        state = {"iterations": 0}
+        loss_history: List[float] = []
 
         def objective(flat: np.ndarray) -> Tuple[float, np.ndarray]:
             total, gradient, per_restart = evaluate(
-                flat, batch_shape, labels, target_gradients
+                flat, restarts, input_shape, labels, target_gradients
             )
             last_losses[:] = per_restart
             improved = per_restart < best_losses
@@ -260,8 +276,11 @@ class MultiRestartReconstruction:
             return total, gradient
 
         def callback(flat: np.ndarray) -> None:
-            state["iterations"] += 1
+            loss_history.append(float(last_losses.min()))
             if best_losses.min() < effective_threshold:
+                # Early termination once a restart matches the leaked
+                # gradients; supported natively by scipy >= 1.11 and caught
+                # below for older releases.
                 raise StopIteration
 
         try:
@@ -280,26 +299,29 @@ class MultiRestartReconstruction:
         finals = np.where(np.isfinite(best_losses), best_losses, last_losses)
         best_restart = int(np.argmin(finals))
         final_loss = float(finals[best_restart])
-        iterations = state["iterations"] if state["iterations"] > 0 else config.max_iterations
-        reconstruction = np.clip(best_flats[best_restart].reshape(example_shape), low, high)
+        iterations = len(loss_history) if loss_history else config.max_iterations
+        reconstruction = np.clip(
+            best_flats[best_restart].reshape(example_shape if batch_size == 1 else input_shape), low, high
+        )
 
         distance = float("nan")
         psnr_value = float("nan")
         if ground_truth is not None:
-            truth = np.asarray(ground_truth, dtype=np.float64).reshape(example_shape)
+            truth = np.asarray(ground_truth, dtype=np.float64).reshape(reconstruction.shape)
             distance = reconstruction_distance(reconstruction, truth)
             psnr_value = compute_psnr(reconstruction, truth, data_range=high - low)
 
-        return MultiRestartResult(
+        return AttackResult(
             succeeded=bool(final_loss < effective_threshold),
             num_iterations=int(min(iterations, config.max_iterations)),
             final_loss=final_loss,
             reconstruction_distance=distance,
-            psnr=psnr_value,
             reconstruction=reconstruction,
+            loss_history=loss_history,
+            labels_used=labels,
+            psnr=psnr_value,
             best_restart=best_restart,
             restarts=restarts,
             per_restart_losses=[float(v) for v in finals],
             vectorized=vectorized,
-            labels_used=np.array(labels, copy=True),
         )

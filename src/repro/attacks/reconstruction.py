@@ -13,10 +13,11 @@ The attack follows the five-step schema of Figure 1a in the paper:
    default) or until the gradient-matching loss drops below a success
    threshold.
 
-The gradient of the matching loss with respect to the dummy input is computed
-analytically with the double-backprop support of :mod:`repro.autodiff`
-(``create_graph=True``), and handed to ``scipy.optimize``'s L-BFGS-B — the
-same optimizer family the paper uses.
+This module holds what describes one attack: its :class:`AttackConfig`, its
+:class:`AttackResult` and the iDLG label inference.  The one engine that runs
+it is :class:`repro.attacks.multistart.MultiRestartReconstruction`: the
+offline threat harness (:mod:`repro.attacks.threat`) runs it with a single
+restart over the leaked batch, the in-loop adversary with several restarts.
 """
 
 from __future__ import annotations
@@ -25,15 +26,8 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import optimize
 
-from repro.autodiff import Tensor, grad
-from repro.nn import CrossEntropyLoss, Sequential
-
-from .metrics import reconstruction_distance
-from .seeds import make_seed
-
-__all__ = ["AttackConfig", "AttackResult", "GradientReconstructionAttack", "infer_label_from_gradients"]
+__all__ = ["AttackConfig", "AttackResult", "infer_label_from_gradients"]
 
 
 @dataclass
@@ -79,204 +73,43 @@ class AttackConfig:
 
 @dataclass
 class AttackResult:
-    """Outcome of one reconstruction attack."""
+    """Outcome of one reconstruction attack (over one or more restarts)."""
 
-    #: whether the gradient-matching loss reached the success threshold
+    #: whether the best restart's matching loss reached the success threshold
     succeeded: bool
-    #: number of attack iterations performed before success / give-up
+    #: optimiser iterations performed before success / give-up
     num_iterations: int
-    #: final gradient-matching loss
+    #: best matching loss across restarts (the winning restart's loss)
     final_loss: float
-    #: RMSE between the reconstruction and the private ground truth
+    #: RMSE between the winning reconstruction and the private ground truth
     reconstruction_distance: float
-    #: the reconstructed input(s)
+    #: the winning restart's reconstruction, shaped like one example (batch
+    #: of one) or ``(batch_size, *example_shape)``
     reconstruction: np.ndarray
-    #: gradient-matching loss after each attack iteration
+    #: best restart's matching loss after each attack iteration
     loss_history: List[float] = field(default_factory=list)
     #: label(s) used by the attacker (ground truth or inferred)
     labels_used: Optional[np.ndarray] = None
+    #: PSNR (dB) of the winning reconstruction over the config's value range
+    psnr: float = float("nan")
+    #: index of the restart that produced the best matching loss
+    best_restart: int = 0
+    #: number of restarts optimised jointly
+    restarts: int = 1
+    #: best matching loss reached by each restart
+    per_restart_losses: List[float] = field(default_factory=list)
+    #: True when the batched-graph path ran (False = looped fallback)
+    vectorized: bool = False
 
 
-def infer_label_from_gradients(target_gradients: Sequence[np.ndarray], model: Sequential) -> int:
+def infer_label_from_gradients(target_gradients: Sequence[np.ndarray]) -> int:
     """Single-example label inference from the last layer's bias gradient.
 
     For softmax cross-entropy on a single example the gradient of the final
     bias is ``p - onehot(y)``: exactly one entry is negative, and it marks the
-    true class (the iDLG observation).  Falls back to the most-negative entry
-    of the last gradient block when no bias gradient is available.
+    true class (the iDLG observation).  The last gradient block is taken to be
+    that bias gradient, as it is for every model in :mod:`repro.nn`; there is
+    no fallback for a model whose last parameter is not the output bias.
     """
     last = np.asarray(target_gradients[-1], dtype=np.float64).reshape(-1)
     return int(np.argmin(last))
-
-
-class GradientReconstructionAttack:
-    """Reconstruct private inputs from leaked gradients of a known model."""
-
-    def __init__(
-        self,
-        model: Sequential,
-        config: Optional[AttackConfig] = None,
-    ) -> None:
-        self.model = model
-        self.config = config if config is not None else AttackConfig()
-        self._loss_fn = CrossEntropyLoss()
-
-    # ------------------------------------------------------------------
-    # Attack objective
-    # ------------------------------------------------------------------
-    def _gradient_matching_loss_and_grad(
-        self,
-        dummy_flat: np.ndarray,
-        input_shape: Tuple[int, ...],
-        labels: np.ndarray,
-        target_gradients: Sequence[np.ndarray],
-    ) -> Tuple[float, np.ndarray]:
-        """Value and input-gradient of the configured gradient-matching objective."""
-        from .objectives import build_matching_loss
-
-        params = self.model.parameters()
-        dummy = Tensor(dummy_flat.reshape(input_shape), requires_grad=True)
-        logits = self.model(dummy)
-        loss = self._loss_fn(logits, labels)
-        dummy_gradients = grad(loss, params, create_graph=True)
-        matching = build_matching_loss(
-            self.config.objective, dummy_gradients, target_gradients, dummy, tv_weight=self.config.tv_weight
-        )
-        (input_gradient,) = grad(matching, [dummy])
-        return float(matching.item()), input_gradient.numpy().reshape(-1)
-
-    # ------------------------------------------------------------------
-    # Main entry point
-    # ------------------------------------------------------------------
-    def run(
-        self,
-        target_gradients: Sequence[np.ndarray],
-        example_shape: Tuple[int, ...],
-        ground_truth: Optional[np.ndarray] = None,
-        labels: Optional[np.ndarray] = None,
-        batch_size: int = 1,
-        global_weights: Optional[Sequence[np.ndarray]] = None,
-        rng: Optional[np.random.Generator] = None,
-    ) -> AttackResult:
-        """Run the reconstruction attack against a leaked gradient.
-
-        Parameters
-        ----------
-        target_gradients:
-            The leaked per-layer gradients (single example for a type-2
-            attack, batch-averaged for type-0/1 attacks).
-        example_shape:
-            Shape of one private example, e.g. ``(1, 28, 28)`` or ``(105,)``.
-        ground_truth:
-            Optional private input(s), used only to report the reconstruction
-            distance; the attack itself never reads it.
-        labels:
-            True labels when the adversary knows them
-            (``config.label_known``); otherwise inferred from the gradients.
-        batch_size:
-            Number of examples to reconstruct jointly (the paper's type-0/1
-            attack reconstructs a batch of 3).
-        global_weights:
-            Model weights at the moment of the leak; when given, loaded into
-            the model before the attack (the adversary knows the model).
-        rng:
-            Random generator for the attack seed.
-        """
-        rng = rng if rng is not None else np.random.default_rng()
-        config = self.config
-        if global_weights is not None:
-            self.model.set_weights(list(global_weights))
-
-        input_shape = (batch_size,) + tuple(int(s) for s in example_shape)
-        if labels is None or not config.label_known:
-            inferred = infer_label_from_gradients(target_gradients, self.model)
-            labels = np.full(batch_size, inferred, dtype=np.int64)
-        labels = np.asarray(labels, dtype=np.int64).reshape(-1)
-        if labels.shape[0] != batch_size:
-            raise ValueError(f"expected {batch_size} labels, got {labels.shape[0]}")
-
-        seed = make_seed(config.seed_kind, input_shape, rng=rng)
-        low, high = config.value_range
-        bounds = optimize.Bounds(low, high)
-
-        if config.objective == "l2":
-            # Scale-aware success criterion: the loss is compared against the
-            # leaked gradient's own squared norm.
-            target_squared_norm = float(
-                sum(np.sum(np.square(np.asarray(g, dtype=np.float64))) for g in target_gradients)
-            )
-            effective_threshold = max(
-                config.success_loss_threshold,
-                config.success_relative_threshold * target_squared_norm,
-            )
-        else:
-            # The cosine objective is already scale-invariant (range [0, 2]).
-            effective_threshold = config.success_loss_threshold
-
-        loss_history: List[float] = []
-        state = {
-            "best_loss": float("inf"),
-            "best_flat": seed.reshape(-1).copy(),
-            "last_loss": float("inf"),
-            "iterations": 0,
-        }
-
-        def objective(flat: np.ndarray) -> Tuple[float, np.ndarray]:
-            value, gradient = self._gradient_matching_loss_and_grad(
-                flat, input_shape, labels, target_gradients
-            )
-            state["last_loss"] = value
-            if value < state["best_loss"]:
-                state["best_loss"] = value
-                state["best_flat"] = np.array(flat, copy=True)
-            return value, gradient
-
-        def callback(flat: np.ndarray) -> None:
-            state["iterations"] += 1
-            loss_history.append(state["last_loss"])
-            if state["best_loss"] < effective_threshold:
-                # Early termination once the reconstruction matches the leaked
-                # gradients; supported natively by scipy >= 1.11 and caught
-                # below for older releases.
-                raise StopIteration
-
-        try:
-            optimize.minimize(
-                objective,
-                seed.reshape(-1),
-                jac=True,
-                method="L-BFGS-B",
-                bounds=bounds,
-                callback=callback,
-                options={"maxiter": config.max_iterations, "ftol": 0.0, "gtol": 1e-12},
-            )
-        except StopIteration:
-            pass
-        final_flat = state["best_flat"]
-        final_loss = state["best_loss"] if np.isfinite(state["best_loss"]) else state["last_loss"]
-        iterations = state["iterations"] if state["iterations"] > 0 else config.max_iterations
-        succeeded = final_loss < effective_threshold
-
-        reconstruction = np.clip(final_flat.reshape(input_shape), low, high)
-        if batch_size == 1:
-            reconstruction_out = reconstruction[0]
-        else:
-            reconstruction_out = reconstruction
-
-        distance = float("nan")
-        if ground_truth is not None:
-            truth = np.asarray(ground_truth, dtype=np.float64)
-            if truth.shape == reconstruction_out.shape:
-                distance = reconstruction_distance(reconstruction_out, truth)
-            else:
-                distance = reconstruction_distance(reconstruction.reshape(truth.shape), truth)
-
-        return AttackResult(
-            succeeded=bool(succeeded),
-            num_iterations=int(min(iterations, config.max_iterations)),
-            final_loss=float(final_loss),
-            reconstruction_distance=distance,
-            reconstruction=reconstruction_out,
-            loss_history=loss_history,
-            labels_used=labels,
-        )

@@ -267,15 +267,15 @@ class AttackSchedule:
             restarts = budget.restarts
             attack_config = replace(self.attack_config, max_iterations=budget.iterations)
 
-        restart_seeds = [
-            domain_seed_sequence(seed, domain, round_index, client_id, restart)
+        restart_rngs = [
+            np.random.default_rng(domain_seed_sequence(seed, domain, round_index, client_id, restart))
             for restart in range(restarts)
         ]
         attack = MultiRestartReconstruction(trainer.model, attack_config)
         result = attack.run(
             observed_gradients,
             features.shape[1:],
-            restart_seeds,
+            restart_rngs,
             ground_truth=features[0],
             labels=labels,
             global_weights=broadcast_weights,

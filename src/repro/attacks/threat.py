@@ -15,8 +15,9 @@ at each of those observation points would actually see (exact gradients for
 the non-private and DSSGD baselines, noisy per-client updates for Fed-SDP,
 noisy per-example gradients for Fed-CDP/Fed-CDP(decay), and — for the
 server-side Fed-SDP variant — exact updates at the client but noisy updates at
-the server), and then launches the reconstruction attack of
-:mod:`repro.attacks.reconstruction` against that observation.
+the server), and then runs the attack engine of :mod:`repro.attacks.multistart`
+against that observation: one restart over the leaked batch, its attack seed
+drawn from the harness's own ``rng``.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ from repro.core.fed_cdp import FedCDPTrainer
 from repro.core.fed_sdp import FedSDPTrainer
 from repro.federated.compression import prune_update
 
-from .reconstruction import AttackConfig, AttackResult, GradientReconstructionAttack
+from .multistart import MultiRestartReconstruction
+from .reconstruction import AttackConfig, AttackResult
 
 __all__ = ["LEAKAGE_TYPES", "LeakageObservation", "GradientLeakageThreat"]
 
@@ -170,16 +172,14 @@ class GradientLeakageThreat:
         observation = self.observe(
             leakage_type, global_weights, features, labels, round_index=round_index, rng=rng
         )
-        attack = GradientReconstructionAttack(self.trainer.model, self.attack_config)
-        example_shape = observation.ground_truth.shape if observation.batch_size == 1 else observation.ground_truth.shape[1:]
-        return attack.run(
+        return MultiRestartReconstruction(self.trainer.model, self.attack_config).run(
             observation.gradients,
-            example_shape,
+            np.shape(features)[1:],
+            [rng],
             ground_truth=observation.ground_truth,
             labels=observation.labels,
             batch_size=observation.batch_size,
             global_weights=global_weights,
-            rng=rng,
         )
 
     def attack_all_types(

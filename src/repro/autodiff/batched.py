@@ -19,8 +19,9 @@ in a single pass.  Two consumers build on this:
 
 * :func:`repro.nn.perexample.per_example_gradients_batched` — the Fed-CDP
   per-example clipping hot path for dense *and* conv models;
-* :mod:`repro.attacks.multistart` — multi-restart gradient inversion as one
-  batched L-BFGS objective, for every supported model and objective.
+* :mod:`repro.attacks.multistart` — gradient inversion (offline and
+  in-loop, one or several restarts) as one batched L-BFGS objective, for
+  every supported model and objective.
 
 Leaves of the recorded graph are classified at compile time:
 

@@ -7,7 +7,7 @@ import pytest
 
 from repro.attacks import (
     AttackConfig,
-    GradientReconstructionAttack,
+    MultiRestartReconstruction,
     build_matching_loss,
     cosine_matching_loss,
     l2_matching_loss,
@@ -115,10 +115,10 @@ def test_cosine_objective_attack_succeeds_on_tabular_model(rng):
     y_true = np.array([0])
     loss_fn = CrossEntropyLoss()
     target = [g.numpy() for g in grad(loss_fn(model(Tensor(x_true)), y_true), model.parameters())]
-    attack = GradientReconstructionAttack(
+    attack = MultiRestartReconstruction(
         model, AttackConfig(max_iterations=120, objective="cosine", success_loss_threshold=1e-5)
     )
-    result = attack.run(target, (16,), ground_truth=x_true[0], labels=y_true, rng=rng)
+    result = attack.run(target, (16,), [rng], ground_truth=x_true[0], labels=y_true)
     assert result.reconstruction_distance < 0.15
 
 
@@ -136,10 +136,10 @@ def test_tv_prior_smooths_image_reconstruction():
     ]
 
     def run(tv_weight):
-        attack = GradientReconstructionAttack(
+        attack = MultiRestartReconstruction(
             model, AttackConfig(max_iterations=40, tv_weight=tv_weight)
         )
-        return attack.run(target, x.shape[1:], ground_truth=x[0], labels=y, rng=np.random.default_rng(1))
+        return attack.run(target, x.shape[1:], [np.random.default_rng(1)], ground_truth=x[0], labels=y)
 
     plain = run(0.0)
     smoothed = run(1.0)

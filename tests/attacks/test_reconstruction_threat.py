@@ -7,13 +7,15 @@ types, Fed-SDP resists type-0/1 but not type-2, and Fed-CDP resists all three.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.attacks import (
     AttackConfig,
     GradientLeakageThreat,
-    GradientReconstructionAttack,
+    MultiRestartReconstruction,
     infer_label_from_gradients,
 )
 from repro.autodiff import Tensor, grad
@@ -54,7 +56,7 @@ def test_label_inference_from_last_layer_gradient(mnist_setup):
         x = data.features[index : index + 1]
         y = data.labels[index : index + 1]
         gradients = [g.numpy() for g in grad(loss_fn(model(Tensor(x)), y), model.parameters())]
-        assert infer_label_from_gradients(gradients, model) == int(y[0])
+        assert infer_label_from_gradients(gradients) == int(y[0])
 
 
 def test_type2_attack_succeeds_against_nonprivate(mnist_setup):
@@ -124,8 +126,8 @@ def test_tabular_reconstruction_attack():
     y_true = np.array([1])
     loss_fn = CrossEntropyLoss()
     target = [g.numpy() for g in grad(loss_fn(model(Tensor(x_true)), y_true), model.parameters())]
-    attack = GradientReconstructionAttack(model, AttackConfig(max_iterations=80))
-    result = attack.run(target, (20,), ground_truth=x_true[0], labels=y_true, rng=rng)
+    attack = MultiRestartReconstruction(model, AttackConfig(max_iterations=80))
+    result = attack.run(target, (20,), [rng], ground_truth=x_true[0], labels=y_true)
     assert result.succeeded
     assert result.reconstruction_distance < 0.05
 
@@ -136,8 +138,8 @@ def test_attack_with_unknown_label_uses_inference(mnist_setup):
     x = data.features[:1]
     y = data.labels[:1]
     target = [g.numpy() for g in grad(loss_fn(model(Tensor(x)), y), model.parameters())]
-    attack = GradientReconstructionAttack(model, AttackConfig(max_iterations=40, label_known=False))
-    result = attack.run(target, x.shape[1:], ground_truth=x[0], rng=np.random.default_rng(0))
+    attack = MultiRestartReconstruction(model, AttackConfig(max_iterations=40, label_known=False))
+    result = attack.run(target, x.shape[1:], [np.random.default_rng(0)], ground_truth=x[0])
     assert result.labels_used is not None
     assert int(result.labels_used[0]) == int(y[0])
 
@@ -162,9 +164,9 @@ def test_attack_label_count_mismatch_raises(mnist_setup):
     loss_fn = CrossEntropyLoss()
     x, y = data.features[:1], data.labels[:1]
     target = [g.numpy() for g in grad(loss_fn(model(Tensor(x)), y), model.parameters())]
-    attack = GradientReconstructionAttack(model, AttackConfig(max_iterations=5))
+    attack = MultiRestartReconstruction(model, AttackConfig(max_iterations=5))
     with pytest.raises(ValueError):
-        attack.run(target, x.shape[1:], labels=np.array([0, 1]), batch_size=1)
+        attack.run(target, x.shape[1:], [np.random.default_rng(0)], labels=np.array([0, 1]), batch_size=1)
 
 
 def test_compression_makes_attack_harder(mnist_setup):
@@ -179,3 +181,42 @@ def test_compression_makes_attack_harder(mnist_setup):
         "type2", model.get_weights(), data.features[:1], data.labels[:1], rng=rng
     )
     assert pruned.reconstruction_distance >= plain.reconstruction_distance
+
+
+@pytest.mark.parametrize(
+    "dataset, leakage_type, final_loss, num_iterations, digest",
+    [
+        (
+            "mnist",
+            "type1",
+            0.09716303452413529,
+            20,
+            "b3bfc80e80537f664a56a385c1152dbf6b8f301756cfb19500bc82f0711acd97",
+        ),
+        (
+            "adult",
+            "type2",
+            0.8771463320453942,
+            20,
+            "f4ff3c12db208148d5b573bf44948bd8367769d15fbc3779abe00454c2de10c7",
+        ),
+    ],
+    ids=["mnist-type01-batch3", "adult-type2"],
+)
+def test_offline_attack_results_are_pinned(dataset, leakage_type, final_loss, num_iterations, digest):
+    """The harness's attack reproduces recorded results bit for bit.
+
+    The values were recorded from the eager single-restart L-BFGS driver the
+    batched engine replaced; the type-0/1 case reconstructs a batch of 3.
+    """
+    spec = get_dataset_spec(dataset)
+    model = build_model_for_dataset(spec, seed=0, scale=0.25)
+    data = generate_dataset(spec, 8, seed=0)
+    trainer = make_trainer("nonprivate", model, quick_config(dataset, "nonprivate"))
+    threat = GradientLeakageThreat(trainer, AttackConfig(max_iterations=20, success_loss_threshold=1e-3))
+    result = threat.attack(
+        leakage_type, model.get_weights(), data.features[:3], data.labels[:3], rng=np.random.default_rng(0)
+    )
+    assert result.final_loss == final_loss
+    assert result.num_iterations == num_iterations
+    assert hashlib.sha256(np.ascontiguousarray(result.reconstruction).tobytes()).hexdigest() == digest
