@@ -34,11 +34,7 @@ import numpy as np
 from repro.autodiff import Tensor, grad
 from repro.federated.config import FederatedConfig
 from repro.nn import CrossEntropyLoss, Sequential
-from repro.nn.perexample import (
-    per_example_gradients,
-    per_example_gradients_looped,
-    stack_to_example_lists,
-)
+from repro.nn.perexample import per_example_gradients, per_example_gradients_looped
 from repro.privacy.accountant import MomentsAccountant
 from repro.privacy.clipping import global_l2_norm
 from repro.privacy.ledger import RoundCharge
@@ -117,19 +113,6 @@ class LocalTrainerBase:
         if mode != "auto":
             raise ValueError(f"unknown per_example_mode {mode!r}; expected 'auto' or 'looped'")
         return per_example_gradients(self.model, features, labels)
-
-    def compute_per_example_gradients(
-        self, features: np.ndarray, labels: np.ndarray
-    ) -> Tuple[List[List[np.ndarray]], float]:
-        """Legacy layout: one per-layer gradient list per example.
-
-        Thin wrapper over :meth:`compute_per_example_gradient_stack` kept for
-        callers that want example-major gradients (e.g. inspecting a single
-        example's sanitised gradient); new code should prefer the stacked
-        representation, which the DP pipeline consumes without reassembly.
-        """
-        stack, mean_loss = self.compute_per_example_gradient_stack(features, labels)
-        return stack_to_example_lists(stack), mean_loss
 
     # ------------------------------------------------------------------
     # Local training loop
@@ -231,10 +214,9 @@ class LocalTrainerBase:
         (Fed-CDP and its decay variant) override this to return the sanitised
         version, which is what makes them resilient to type-2 leakage.
         """
-        rng = rng if rng is not None else np.random.default_rng()
         self.model.set_weights(list(global_weights))
-        per_example, _ = self.compute_per_example_gradients(features[:1], labels[:1])
-        return per_example[0]
+        stack, _ = self.compute_per_example_gradient_stack(features[:1], labels[:1])
+        return [layer[0] for layer in stack]
 
     # ------------------------------------------------------------------
     # Privacy accounting

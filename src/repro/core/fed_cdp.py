@@ -154,8 +154,9 @@ class FedCDPTrainer(LocalTrainerBase):
     ) -> List[np.ndarray]:
         rng = rng if rng is not None else np.random.default_rng()
         self.model.set_weights(list(global_weights))
-        per_example, _ = self.compute_per_example_gradients(features[:1], labels[:1])
-        return self.sanitize_per_example_gradient(per_example[0], round_index, rng)
+        # the training path at B = 1: the mean over one row is the row
+        observed, _, _ = self.sanitized_stack_mean(features[:1], labels[:1], round_index, rng)
+        return observed
 
     # ------------------------------------------------------------------
     # Privacy accounting: L subsampled-Gaussian invocations per round at the

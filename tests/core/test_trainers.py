@@ -17,6 +17,7 @@ from repro.core import (
 from repro.data import generate_dataset, get_dataset_spec
 from repro.experiments.harness import quick_config
 from repro.nn import build_model_for_dataset
+from repro.nn.perexample import stack_to_example_lists
 from repro.privacy import MomentsAccountant, l2_norm
 from repro.privacy.clipping import LinearDecayClipping
 
@@ -52,7 +53,8 @@ def test_per_example_gradients_average_to_batch_gradient(small_setup):
     trainer = NonPrivateTrainer(model, config)
     features, labels = dataset.features[:4], dataset.labels[:4]
     batch_gradients, _ = trainer.compute_batch_gradient(features, labels)
-    per_example, _ = trainer.compute_per_example_gradients(features, labels)
+    stack, _ = trainer.compute_per_example_gradient_stack(features, labels)
+    per_example = stack_to_example_lists(stack)
     for layer_index, batch_layer in enumerate(batch_gradients):
         averaged = np.mean([example[layer_index] for example in per_example], axis=0)
         np.testing.assert_allclose(averaged, batch_layer, atol=1e-10)
@@ -117,7 +119,8 @@ def test_fed_cdp_per_example_sanitisation_clips_and_noises(small_setup):
     _, config, model, dataset = small_setup
     config = config.with_overrides(method="fed_cdp", clipping_bound=0.1, noise_scale=0.0)
     trainer = FedCDPTrainer(model, config)
-    per_example, _ = trainer.compute_per_example_gradients(dataset.features[:2], dataset.labels[:2])
+    stack, _ = trainer.compute_per_example_gradient_stack(dataset.features[:2], dataset.labels[:2])
+    per_example = stack_to_example_lists(stack)
     sanitized = trainer.sanitize_per_example_gradient(per_example[0], 0, np.random.default_rng(0))
     # with zero noise, sanitisation is exactly per-layer clipping
     for layer in sanitized:
@@ -126,6 +129,39 @@ def test_fed_cdp_per_example_sanitisation_clips_and_noises(small_setup):
     noisy_trainer = FedCDPTrainer(model, config.with_overrides(noise_scale=3.0))
     noisy = noisy_trainer.sanitize_per_example_gradient(per_example[0], 0, np.random.default_rng(0))
     assert any(not np.allclose(a, b) for a, b in zip(noisy, sanitized))
+
+
+#: a few float64 ULP: the stack path's einsum layer norms and the looped
+#: path's ``l2_norm`` sum the squares in different orders, so the clip
+#: divisors (and hence the observation) may differ in the last bits
+_ULP_TOLERANCE = 8 * np.finfo(np.float64).eps
+
+
+@pytest.mark.parametrize("noise_scale", [0.0, 1.5])
+@pytest.mark.parametrize("dataset", ["adult", "mnist"], ids=["mlp", "cnn"])
+@pytest.mark.parametrize("method", ["fed_cdp", "fed_cdp_decay"])
+def test_type2_observation_is_the_stack_path_at_batch_one(method, dataset, noise_scale):
+    """Fed-CDP's type-2 observation runs the training path at B = 1: it
+    leaves the generator where the looped per-example sanitiser does, and
+    its values agree with it to a few ULP."""
+    spec = get_dataset_spec(dataset)
+    model = build_model_for_dataset(spec, seed=0, scale=0.25)
+    data = generate_dataset(spec, 2, seed=0)
+    config = quick_config(dataset, method, noise_scale=noise_scale, clipping_bound=0.5)
+    trainer = make_trainer(method, model, config)
+    x, y = data.features[:1], data.labels[:1]
+    stack, _ = trainer.compute_per_example_gradient_stack(x, y)
+    reference_rng = np.random.default_rng(5)
+    reference = trainer.sanitize_per_example_gradient([layer[0] for layer in stack], 3, reference_rng)
+
+    rng = np.random.default_rng(5)
+    observed = trainer.observed_per_example_gradient(model.get_weights(), x, y, round_index=3, rng=rng)
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
+    for got, want in zip(observed, reference):
+        assert got.shape == want.shape
+        np.testing.assert_allclose(
+            got, want, rtol=_ULP_TOLERANCE, atol=_ULP_TOLERANCE * np.abs(want).max()
+        )
 
 
 def test_fed_cdp_observed_gradient_differs_from_clean(small_setup):
@@ -203,7 +239,8 @@ def test_cnn_per_example_gradients_shapes():
     model = build_model_for_dataset(spec, seed=0, scale=0.25)
     trainer = FedCDPTrainer(model, config)
     data = generate_dataset(spec, 3, seed=0)
-    per_example, loss = trainer.compute_per_example_gradients(data.features[:2], data.labels[:2])
+    stack, loss = trainer.compute_per_example_gradient_stack(data.features[:2], data.labels[:2])
+    per_example = stack_to_example_lists(stack)
     assert len(per_example) == 2
     assert [g.shape for g in per_example[0]] == [p.shape for p in model.parameters()]
     assert np.isfinite(loss)
