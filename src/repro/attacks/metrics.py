@@ -41,8 +41,8 @@ def psnr(reconstruction: np.ndarray, ground_truth: np.ndarray, data_range: float
 def _attribute(result, *names: str):
     """First present attribute of ``result`` among ``names``.
 
-    The offline :class:`~repro.attacks.reconstruction.AttackResult` and the
-    in-loop :class:`~repro.federated.server.AttackRecord` use slightly
+    The attack engine's :class:`~repro.attacks.reconstruction.AttackResult`
+    and the in-loop :class:`~repro.federated.server.AttackRecord` use slightly
     different field names (``succeeded``/``num_iterations`` vs
     ``success``/``iterations``); the aggregate metrics accept both.
     """

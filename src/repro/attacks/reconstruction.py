@@ -86,7 +86,7 @@ class AttackResult:
     #: the winning restart's reconstruction, shaped like one example (batch
     #: of one) or ``(batch_size, *example_shape)``
     reconstruction: np.ndarray
-    #: best restart's matching loss after each attack iteration
+    #: lowest restart matching loss at each attack iteration's iterate
     loss_history: List[float] = field(default_factory=list)
     #: label(s) used by the attacker (ground truth or inferred)
     labels_used: Optional[np.ndarray] = None

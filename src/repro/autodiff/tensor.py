@@ -10,7 +10,7 @@ The engine is deliberately small but supports *higher-order* differentiation:
 every primitive operation records a backward function that is itself written
 in terms of ``Tensor`` operations, so gradients of gradients can be taken.
 Second-order gradients are required by the gradient-inversion attack
-(:mod:`repro.attacks.reconstruction`), which differentiates a gradient-matching
+(:mod:`repro.attacks.multistart`), which differentiates a gradient-matching
 loss with respect to the *input image*.
 
 Only the pieces of a tensor library that the reproduction needs are provided;

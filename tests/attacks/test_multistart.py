@@ -230,8 +230,5 @@ def test_run_validates_inputs():
     with pytest.raises(ValueError):
         attack.run(target, x_true.shape[1:], [], labels=y_true)
     with pytest.raises(ValueError):
-        # one label per example of the batch
-        attack.run(target, x_true.shape[1:], _restart_rngs(1), labels=np.array([0, 1]))
-    with pytest.raises(ValueError):
         # wrong number of target blocks for the model
         attack.run(target[:-1], x_true.shape[1:], _restart_rngs(1), labels=y_true)

@@ -206,7 +206,7 @@ def test_compression_makes_attack_harder(mnist_setup):
 def test_offline_attack_results_are_pinned(dataset, leakage_type, final_loss, num_iterations, digest):
     """The harness's attack reproduces recorded results bit for bit.
 
-    The values were recorded from the eager single-restart L-BFGS driver the
+    The values were recorded from the eager single-restart attack that the
     batched engine replaced; the type-0/1 case reconstructs a batch of 3.
     """
     spec = get_dataset_spec(dataset)
