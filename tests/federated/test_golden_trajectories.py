@@ -116,6 +116,22 @@ def golden_configs() -> Dict[str, FederatedConfig]:
         drift_rate=0.2,
         **base,
     )
+    # server-path cells: each round option the grid above leaves at its
+    # default — Poisson sampling, FedAvg with pruning, Fed-SDP's server-side
+    # sanitiser and secure aggregation — run once.  The dropout rates are
+    # chosen so that some round genuinely loses a client (asserted below)
+    configs["fed_cdp_iid_poisson_dropout"] = quick_config(
+        "cancer", "fed_cdp", partition="iid", client_sampling="poisson", dropout_rate=0.3, **base
+    )
+    configs["fed_cdp_iid_fedavg_compressed"] = quick_config(
+        "cancer", "fed_cdp", partition="iid", aggregation="fedavg", compression_ratio=0.5, **base
+    )
+    configs["fed_sdp_iid_server_side"] = quick_config(
+        "cancer", "fed_sdp", partition="iid", sdp_server_side=True, **base
+    )
+    configs["fed_cdp_iid_secure_dropout"] = quick_config(
+        "cancer", "fed_cdp", partition="iid", secure_aggregation=True, dropout_rate=0.5, **base
+    )
     return configs
 
 
@@ -315,6 +331,15 @@ def test_flaky_fixture_exercises_availability():
     dropped = sum(len(r["dropped_clients"]) for r in payload["rounds"])
     stragglers = sum(len(r["straggler_clients"]) for r in payload["rounds"])
     assert dropped + stragglers > 0
+
+
+@pytest.mark.parametrize("name", ["fed_cdp_iid_poisson_dropout", "fed_cdp_iid_secure_dropout"])
+def test_server_path_dropout_fixtures_lose_clients(name):
+    """The Poisson and secure-aggregation cells must each drop a client in
+    some round, so their fixtures lock a cohort smaller than the selection."""
+    with open(os.path.join(GOLDEN_DIR, f"{name}.json")) as handle:
+        payload = json.load(handle)
+    assert sum(len(r["dropped_clients"]) for r in payload["rounds"]) > 0
 
 
 def test_dynamics_fixture_exercises_population_dynamics():
