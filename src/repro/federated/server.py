@@ -8,10 +8,11 @@ from typing import Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from .aggregation import fedavg_aggregate, fedsgd_aggregate
-from .availability import AvailabilityDraw, AvailabilityModel
+from .availability import AvailabilityModel
 from .byzantine import ByzantineBehaviour
 from .compression import prune_update
-from .config import CLIENT_SAMPLING_SCHEMES
+from .config import FederatedConfig
+from .executor import ClientExecutor, client_id_seed_sequence, spawn_client_seeds
 from .sampling import sample_clients_fixed, sample_clients_poisson
 from .secure_aggregation import RoundSecureAggregator
 
@@ -121,196 +122,109 @@ class RoundResult:
 
 
 class FederatedServer:
-    """Coordinates rounds of federated learning over a set of clients.
+    """Runs the rounds of one federated experiment.
+
+    Every round option is read from ``config`` (a
+    :class:`~repro.federated.config.FederatedConfig`, which has already
+    validated it): ``num_clients``, ``clients_per_round`` and
+    ``client_sampling`` shape the cohort, ``aggregation`` and
+    ``compression_ratio`` the update path, ``secure_aggregation`` and
+    ``secure_mask_scale`` the masking, and ``seed`` keys every per-client
+    training stream and every mask stream.
 
     Parameters
     ----------
+    config:
+        The experiment's configuration.
     global_weights:
         Initial global model weights ``W(0)`` (per-layer arrays).
-    aggregation:
-        ``"fedsgd"`` (aggregate shared updates) or ``"fedavg"`` (average
-        shared models); the two are mathematically equivalent here.
+    executor:
+        The :class:`~repro.federated.executor.ClientExecutor` that runs the
+        participants' local training.
+    availability:
+        The :class:`~repro.federated.availability.AvailabilityModel` that
+        thins each selected cohort (it returns the whole cohort when no
+        availability dynamic is configured).
     update_sanitizer:
         Optional callable applied to every collected client update before
         aggregation — used for the server-side variant of Fed-SDP.
-    compression_ratio:
-        When positive, each shared update is pruned (communication-efficient
-        FL, Figure 5) before aggregation.
     byzantine:
         Optional :class:`~repro.federated.byzantine.ByzantineBehaviour`: the
         designated clients' uploads are tampered with (scale / sign_flip)
         before any server-side processing, modelling a malicious participant
         rather than a server-side step.
-    secure_aggregation:
-        When ``True``, each participant's (sanitised, compressed) update is
-        pairwise-masked against the round's other participants before
-        aggregation (see :class:`~repro.federated.secure_aggregation.
-        RoundSecureAggregator`); the masks cancel in the FedSGD mean, so only
-        individual uploads — not the aggregate — are hidden.  Requires
-        ``aggregation="fedsgd"``.  ``secure_seed`` keys the mask streams
-        (pass the config seed) and ``secure_mask_scale`` their magnitude.
-    client_sampling:
-        ``"fixed"`` (exactly ``clients_per_round`` distinct clients) or
-        ``"poisson"`` (each client independently with probability
-        ``clients_per_round / K``; the draw may be empty, in which case the
-        round is skipped).
-    keep_round_results:
-        When ``False`` the server does not accumulate its own
-        ``round_results`` list — used by the simulation when the history is
-        streamed to a disk spool, so no in-RAM structure grows with the round
-        horizon (see docs/cross_device_scale.md).
     """
 
     def __init__(
         self,
+        config: FederatedConfig,
         global_weights: Sequence[np.ndarray],
-        aggregation: str = "fedsgd",
+        executor: ClientExecutor,
+        availability: AvailabilityModel,
+        *,
         update_sanitizer: Optional[Callable[[List[np.ndarray], int, np.random.Generator], List[np.ndarray]]] = None,
-        compression_ratio: float = 0.0,
-        client_sampling: str = "fixed",
-        keep_round_results: bool = True,
         byzantine: Optional[ByzantineBehaviour] = None,
-        secure_aggregation: bool = False,
-        secure_seed: int = 0,
-        secure_mask_scale: float = 10.0,
     ) -> None:
-        if aggregation not in ("fedsgd", "fedavg"):
-            raise ValueError("aggregation must be 'fedsgd' or 'fedavg'")
-        if client_sampling not in CLIENT_SAMPLING_SCHEMES:
-            raise ValueError(
-                f"unknown client_sampling {client_sampling!r}; "
-                f"expected one of {CLIENT_SAMPLING_SCHEMES}"
-            )
-        if secure_aggregation and aggregation != "fedsgd":
-            raise ValueError("secure_aggregation requires aggregation='fedsgd'")
+        self.config = config
         self.global_weights: List[np.ndarray] = [np.array(w, dtype=np.float64, copy=True) for w in global_weights]
-        self.aggregation = aggregation
+        self.executor = executor
+        self.availability = availability
         self.update_sanitizer = update_sanitizer
-        self.compression_ratio = float(compression_ratio)
-        self.client_sampling = client_sampling
-        self.keep_round_results = bool(keep_round_results)
         self.byzantine = byzantine
-        self.secure_aggregation = bool(secure_aggregation)
-        self.secure_seed = int(secure_seed)
-        self.secure_mask_scale = float(secure_mask_scale)
-        self.round_results: List[RoundResult] = []
 
     # ------------------------------------------------------------------
-    def select_clients(
-        self, num_clients: int, clients_per_round: int, rng: np.random.Generator
-    ) -> List[int]:
-        """Sample the round's cohort (possibly empty under Poisson sampling)."""
-        if self.client_sampling == "poisson":
-            return sample_clients_poisson(num_clients, clients_per_round / num_clients, rng=rng)
-        return sample_clients_fixed(num_clients, clients_per_round, rng=rng)
+    def select_clients(self, rng: np.random.Generator) -> List[int]:
+        """Sample the round's cohort (possibly empty under Poisson sampling).
 
-    def run_round(
-        self,
-        clients: Sequence,
-        round_index: int,
-        clients_per_round: int,
-        rng: np.random.Generator,
-        executor=None,
-        client_seeds: Optional[Sequence[np.random.SeedSequence]] = None,
-        availability: Optional[AvailabilityModel] = None,
-        client_seed_factory: Optional[
-            Callable[[int, int], np.random.SeedSequence]
-        ] = None,
-    ) -> RoundResult:
+        ``"fixed"`` sampling draws exactly ``clients_per_round`` distinct
+        clients; ``"poisson"`` includes each client independently with
+        probability ``clients_per_round / num_clients``.
+        """
+        num_clients, cohort = self.config.num_clients, self.config.clients_per_round
+        if self.config.client_sampling == "poisson":
+            return sample_clients_poisson(num_clients, cohort / num_clients, rng=rng)
+        return sample_clients_fixed(num_clients, cohort, rng=rng)
+
+    def run_round(self, round_index: int, rng: np.random.Generator) -> RoundResult:
         """Execute one full round: select, filter availability, train, aggregate.
 
-        With the default ``executor=None`` the participating clients run
-        inline and share the server's ``rng`` (the pre-executor behaviour,
-        still used by direct-server tests).  When a
-        :class:`~repro.federated.executor.ClientExecutor` is supplied, the
-        clients' local training is delegated to it with one pre-spawned RNG
-        stream per selected slot (``client_seeds``); the server then applies
-        sanitisation/compression and aggregates in selection order, so the
-        result is independent of the backend's scheduling.
-
-        ``client_seed_factory`` replaces the pre-spawned ``client_seeds``
-        list with on-demand derivation: it is called as ``factory(slot,
-        client_id)`` for each *participating* client.  The simulation uses it
-        under Poisson sampling to key training streams on the client id, so
-        no seed is ever spawned for a client that was not drawn (the
-        per-round cost is O(cohort) regardless of the population size).
-
-        ``availability`` (an :class:`~repro.federated.availability.
-        AvailabilityModel`) thins the selected cohort into participating /
+        The availability model thins the selected cohort into participating /
         dropped / straggling / offline clients before any local training runs
-        (offline = excluded by churn or the diurnal cycle).  On the
-        executor path a participating client keeps the pre-spawned RNG stream
-        of its original selection slot, so enabling dropout does not perturb
-        the surviving clients' training randomness; on the inline
-        ``executor=None`` path the survivors share the server's ``rng``
-        sequentially, so their draws *do* shift when earlier slots drop out —
-        use an executor when that guarantee matters (the simulation always
-        does).  When *no* client participates (all dropped, or an empty
-        Poisson draw) the round is skipped deterministically: the global
-        weights are left untouched and an empty :class:`RoundResult` is
-        recorded — downstream, the privacy accountant reads the empty
-        ``participating_clients`` as "nothing released" and charges no
-        epsilon for the round.
+        (offline = excluded by churn or the diurnal cycle).  The executor then
+        trains the participants, each on its own RNG stream derived from the
+        config seed:
+
+        * under fixed sampling, the stream of its selection slot
+          (:func:`~repro.federated.executor.spawn_client_seeds`), so a
+          survivor keeps its stream when an earlier slot drops out;
+        * under Poisson sampling, where any subset of the population may be
+          drawn, a stream keyed on its client id
+          (:func:`~repro.federated.executor.client_id_seed_sequence`) — no
+          seed is spawned for a client that was not drawn, so the per-round
+          cost is O(cohort) whatever the population size.
+
+        The availability draw is keyed the same way.  The server then applies
+        tampering, sanitisation, compression and secure masking and
+        aggregates in selection order, so the result is independent of the
+        backend's scheduling.  When *no* client participates (all dropped, or
+        an empty Poisson draw) the round is skipped deterministically: the
+        global weights are left untouched and the empty
+        ``participating_clients`` tells the privacy accountant that nothing
+        was released, so the round costs no epsilon.
         """
-        selected = self.select_clients(len(clients), clients_per_round, rng)
-        if availability is not None:
-            # Poisson cohorts key availability on the client id so the draw
-            # is population-size-independent; fixed cohorts keep the
-            # historical per-slot streams (golden trajectories depend on it).
-            draw = availability.draw(
-                selected, round_index, by_client_id=self.client_sampling == "poisson"
-            )
-        else:
-            draw = AvailabilityDraw(
-                participating=list(selected), participating_slots=list(range(len(selected)))
-            )
+        config = self.config
+        selected = self.select_clients(rng)
+        by_client_id = config.client_sampling == "poisson"
+        draw = self.availability.draw(selected, round_index, by_client_id=by_client_id)
         participants = draw.participating
-
-        if not participants:
-            outcome = RoundResult(
-                round_index=round_index,
-                selected_clients=list(selected),
-                mean_loss=float("nan"),
-                mean_gradient_norm=0.0,
-                mean_time_per_iteration_ms=0.0,
-                participating_clients=[],
-                dropped_clients=list(draw.dropped),
-                straggler_clients=list(draw.stragglers),
-                offline_clients=list(draw.offline),
-            )
-            if self.keep_round_results:
-                self.round_results.append(outcome)
-            return outcome
-
-        if executor is None:
-            results = [
-                clients[client_index].local_update(self.global_weights, round_index, rng=rng)
-                for client_index in participants
-            ]
+        if by_client_id:
+            seeds = [client_id_seed_sequence(config.seed, round_index, c) for c in participants]
         else:
-            if client_seed_factory is not None:
-                participant_seeds = [
-                    client_seed_factory(slot, int(client))
-                    for slot, client in zip(draw.participating_slots, participants)
-                ]
-            else:
-                if client_seeds is None:
-                    raise ValueError(
-                        "client_seeds (or client_seed_factory) is required when "
-                        "running with an executor"
-                    )
-                if len(client_seeds) < len(selected):
-                    raise ValueError("need one client seed per selected client")
-                participant_seeds = [client_seeds[slot] for slot in draw.participating_slots]
-            results = executor.run_clients(
-                participants, self.global_weights, round_index, participant_seeds
-            )
+            slot_seeds = spawn_client_seeds(config.seed, round_index, len(selected))
+            seeds = [slot_seeds[slot] for slot in draw.participating_slots]
+        results = self.executor.run_clients(participants, self.global_weights, round_index, seeds)
 
         updates: List[List[np.ndarray]] = []
-        local_models: List[List[np.ndarray]] = []
-        losses: List[float] = []
-        norms: List[float] = []
-        times: List[float] = []
         metadata: Dict[str, float] = {}
         for client_index, result in zip(participants, results):
             delta = result.delta
@@ -320,44 +234,42 @@ class FederatedServer:
                 delta = self.byzantine.transform_update(int(client_index), delta)
             if self.update_sanitizer is not None:
                 delta = self.update_sanitizer(delta, round_index, rng)
-            if self.compression_ratio > 0.0:
-                delta = prune_update(delta, self.compression_ratio)
+            if config.compression_ratio > 0.0:
+                delta = prune_update(delta, config.compression_ratio)
             updates.append(delta)
-            local_models.append([w + d for w, d in zip(self.global_weights, delta)])
-            losses.append(result.mean_loss)
-            norms.append(result.mean_gradient_norm)
-            times.append(result.time_per_iteration_ms)
             metadata.update(result.metadata)
 
-        if self.secure_aggregation:
-            # each participant uploads update + pairwise masks instead; the
-            # masks cancel in the aggregate (up to float summation residue),
-            # so the server learns the mean without seeing any single update
-            aggregator = RoundSecureAggregator(
-                participants, self.secure_seed, round_index, mask_scale=self.secure_mask_scale
-            )
-            updates = [
-                aggregator.mask_update(int(client_index), delta)
-                for client_index, delta in zip(participants, updates)
-            ]
+        if participants:
+            if config.aggregation == "fedavg":
+                self.global_weights = fedavg_aggregate(
+                    [[w + d for w, d in zip(self.global_weights, delta)] for delta in updates]
+                )
+            else:
+                if config.secure_aggregation:
+                    # each participant uploads update + pairwise masks
+                    # instead; the masks cancel in the aggregate (up to float
+                    # summation residue), so the server learns the mean
+                    # without seeing any single update
+                    aggregator = RoundSecureAggregator(
+                        participants, config.seed, round_index, mask_scale=config.secure_mask_scale
+                    )
+                    updates = [
+                        aggregator.mask_update(int(client_index), delta)
+                        for client_index, delta in zip(participants, updates)
+                    ]
+                self.global_weights = fedsgd_aggregate(self.global_weights, updates)
 
-        if self.aggregation == "fedsgd":
-            self.global_weights = fedsgd_aggregate(self.global_weights, updates)
-        else:
-            self.global_weights = fedavg_aggregate(local_models)
-
-        outcome = RoundResult(
+        return RoundResult(
             round_index=round_index,
             selected_clients=list(selected),
-            mean_loss=float(np.nanmean(losses)) if losses else float("nan"),
-            mean_gradient_norm=float(np.mean(norms)) if norms else 0.0,
-            mean_time_per_iteration_ms=float(np.mean(times)) if times else 0.0,
+            mean_loss=float(np.nanmean([r.mean_loss for r in results])) if results else float("nan"),
+            mean_gradient_norm=float(np.mean([r.mean_gradient_norm for r in results])) if results else 0.0,
+            mean_time_per_iteration_ms=(
+                float(np.mean([r.time_per_iteration_ms for r in results])) if results else 0.0
+            ),
             metadata=metadata,
             participating_clients=list(participants),
             dropped_clients=list(draw.dropped),
             straggler_clients=list(draw.stragglers),
             offline_clients=list(draw.offline),
         )
-        if self.keep_round_results:
-            self.round_results.append(outcome)
-        return outcome

@@ -41,7 +41,7 @@ from .availability import AvailabilityModel, DriftModel
 from .byzantine import ByzantineBehaviour
 from .client import FederatedClient, LazyClientRoster
 from .config import PRIVATE_METHODS, RESUME_MUTABLE_FIELDS, FederatedConfig
-from .executor import client_id_seed_sequence, make_executor, spawn_client_seeds
+from .executor import make_executor
 from .history import RoundSpool, round_result_from_payload, round_result_to_payload
 from .server import AttackRecord, FederatedServer, MIARecord, RoundResult
 
@@ -329,21 +329,15 @@ class FederatedSimulation:
         sanitizer = None
         if config.method == "fed_sdp" and config.sdp_server_side:
             sanitizer = self.trainer.sanitize_update
-        self.server = FederatedServer(
-            self.model.get_weights(),
-            aggregation=config.aggregation,
-            update_sanitizer=sanitizer,
-            compression_ratio=config.compression_ratio,
-            client_sampling=config.client_sampling,
-            # with a disk spool the history owns the rounds; the server must
-            # not mirror them in an unbounded in-RAM list
-            keep_round_results=history_spool is None,
-            byzantine=self.byzantine,
-            secure_aggregation=config.secure_aggregation,
-            secure_seed=config.seed,
-            secure_mask_scale=config.secure_mask_scale,
-        )
         self.availability = AvailabilityModel.from_config(config)
+        self.server = FederatedServer(
+            config,
+            self.model.get_weights(),
+            self.executor,
+            self.availability,
+            update_sanitizer=sanitizer,
+            byzantine=self.byzantine,
+        )
         # lazy import: the attack stack (scipy's optimiser) is only paid for
         # when the config actually schedules an in-loop adversary
         if config.attack is not None:
@@ -401,7 +395,6 @@ class FederatedSimulation:
         # reach the identical final value
         history.epsilon_by_lifetime = None
         is_private = self.config.method in PRIVATE_METHODS
-        poisson = self.config.client_sampling == "poisson"
         budget = self.config.epsilon_budget if is_private else None
         for round_index in range(self._completed_rounds, total_rounds):
             if budget is not None and self._round_would_exceed_budget(round_index, budget):
@@ -410,25 +403,6 @@ class FederatedSimulation:
                 # run reaches the identical stopping decision
                 history.budget_stop_round = round_index
                 break
-            if poisson:
-                # a Poisson draw may contain any subset of the population;
-                # keying training streams on the *client id* spawns seeds only
-                # for the drawn cohort (O(cohort), not O(K) — a hard
-                # requirement at cross-device scale) while staying independent
-                # of scheduling, backend and the rest of the draw
-                client_seeds = None
-                seed_factory = (
-                    lambda slot, client_id, _round=round_index: client_id_seed_sequence(
-                        self.config.seed, _round, client_id
-                    )
-                )
-            else:
-                # fixed-size sampling keeps the historical per-slot spawn the
-                # committed golden trajectories depend on
-                client_seeds = spawn_client_seeds(
-                    self.config.seed, round_index, self.config.clients_per_round
-                )
-                seed_factory = None
             attack_this_round = (
                 self.attack_schedule is not None
                 and self.attack_schedule.is_attack_round(round_index)
@@ -437,16 +411,7 @@ class FederatedSimulation:
                 # the adversary targets the broadcast weights W(t) the cohort
                 # trained from, captured before aggregation replaces them
                 broadcast_weights = [np.array(w, copy=True) for w in self.server.global_weights]
-            result = self.server.run_round(
-                self.clients,
-                round_index,
-                self.config.clients_per_round,
-                self.rng,
-                executor=self.executor,
-                client_seeds=client_seeds,
-                availability=self.availability if self.availability.active else None,
-                client_seed_factory=seed_factory,
-            )
+            result = self.server.run_round(round_index, self.rng)
             if attack_this_round and not result.skipped:
                 # observational only: the attack consumes its own RNG domain
                 # and never touches server, trainer or accountant state, so
@@ -688,8 +653,6 @@ class FederatedSimulation:
         simulation = cls(config, history_tail=history_tail)
         if history_spool is not None:
             simulation._history_spool = history_spool
-            # spool mode: the server must not mirror rounds in RAM
-            simulation.server.keep_round_results = False
         simulation.load_state_dict(state)
         return simulation
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.experiments.harness import quick_config
-from repro.federated import FederatedConfig, FederatedServer, FederatedSimulation
+from repro.federated import FederatedConfig, FederatedSimulation
 from repro.federated.config import ALWAYS_SERIALISED_FIELDS, FIELD_TYPES
 from repro.federated.client import FederatedClient
 from repro.data import Dataset
@@ -49,6 +49,7 @@ def test_config_override_helpers():
         {"compression_ratio": 1.0},
         {"dssgd_share_fraction": 0.0},
         {"aggregation": "bogus"},
+        {"client_sampling": "bogus"},
         {"eval_every": 0},
         {"dataset": "unknown-dataset"},
         {"accountant": "bogus"},
@@ -202,11 +203,6 @@ def test_client_validation_and_sampling(rng):
     assert x.shape == (3, 4) and y.shape == (3,)
     with pytest.raises(ValueError):
         FederatedClient(1, data.subset([]), trainer=None)
-
-
-def test_server_rejects_unknown_aggregation(rng):
-    with pytest.raises(ValueError):
-        FederatedServer([np.zeros(3)], aggregation="median")
 
 
 def test_simulation_smoke_nonprivate_learns():
