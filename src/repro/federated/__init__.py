@@ -21,11 +21,7 @@ from .executor import (
     spawn_client_seeds,
 )
 from .sampling import sample_clients_fixed, sample_clients_poisson
-from .secure_aggregation import (
-    SECURE_AGGREGATION_DOMAIN,
-    PairwiseMaskingProtocol,
-    RoundSecureAggregator,
-)
+from .secure_aggregation import SECURE_AGGREGATION_DOMAIN, RoundSecureAggregator
 from .server import AttackRecord, FederatedServer, MIARecord, RoundResult
 from .simulation import FederatedSimulation, SimulationHistory
 
@@ -61,7 +57,6 @@ __all__ = [
     "sample_clients_poisson",
     "prune_update",
     "compression_savings",
-    "PairwiseMaskingProtocol",
     "RoundSecureAggregator",
     "SECURE_AGGREGATION_DOMAIN",
 ]

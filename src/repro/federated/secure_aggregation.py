@@ -5,36 +5,31 @@ cites secure aggregation / SMC as complementary protections, while pointing
 out their limitation: they "do not secure the client data prior to encryption
 for transport or after decryption for the server aggregation" — i.e. they can
 hide individual updates from a type-0 (server) adversary, but do nothing about
-type-1/type-2 leakage at the client.  This module provides a faithful
-single-round simulation of the pairwise-masking protocol so that claim can be
-exercised and tested:
+type-1/type-2 leakage at the client.  :class:`RoundSecureAggregator`
+simulates the pairwise-masking protocol over one round's participating
+cohort so that claim can be exercised and tested:
 
-* every ordered pair of clients ``(i, j)`` with ``i < j`` derives a shared
-  mask from a common seed (standing in for the Diffie-Hellman agreed secret);
+* every pair of participants ``(i, j)`` with ``i < j`` derives a shared mask
+  from a common seed (standing in for the Diffie-Hellman agreed secret);
 * client ``i`` uploads ``update_i + sum_{j > i} mask_ij - sum_{j < i} mask_ji``;
 * the server's sum of the masked updates equals the sum of the true updates,
   while each individual masked update is statistically independent of the true
   update (the masks are large Gaussian noise).
 
-Dropout handling (mask recovery via secret sharing) is out of scope; the
-simulation assumes all selected clients survive the round, matching how the
-paper uses secure aggregation as a point of comparison rather than a system
-under test.
+Masks pair up only the clients that actually participate, so a dropped
+client never leaves an uncancelled mask behind; mask recovery via secret
+sharing is therefore not simulated.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from repro.rng import domain_seed_sequence
 
-__all__ = [
-    "PairwiseMaskingProtocol",
-    "RoundSecureAggregator",
-    "SECURE_AGGREGATION_DOMAIN",
-]
+__all__ = ["RoundSecureAggregator", "SECURE_AGGREGATION_DOMAIN"]
 
 
 #: Domain-separation tag for the per-round pairwise mask streams (sibling of
@@ -46,80 +41,16 @@ __all__ = [
 SECURE_AGGREGATION_DOMAIN = 0x5EC4A66
 
 
-class PairwiseMaskingProtocol:
-    """Single-round secure aggregation by pairwise additive masking."""
-
-    def __init__(self, num_clients: int, mask_scale: float = 10.0, seed: int = 0) -> None:
-        if num_clients < 2:
-            raise ValueError("secure aggregation needs at least two clients")
-        if mask_scale <= 0:
-            raise ValueError("mask_scale must be positive")
-        self.num_clients = int(num_clients)
-        self.mask_scale = float(mask_scale)
-        self.seed = int(seed)
-
-    # ------------------------------------------------------------------
-    def _pair_seed(self, first: int, second: int) -> int:
-        """Deterministic per-pair seed (stands in for the agreed DH secret)."""
-        low, high = sorted((first, second))
-        return hash((self.seed, low, high)) & 0x7FFFFFFF
-
-    def _pair_mask(self, first: int, second: int, shapes: Sequence[Tuple[int, ...]]) -> List[np.ndarray]:
-        rng = np.random.default_rng(self._pair_seed(first, second))
-        return [rng.normal(0.0, self.mask_scale, size=shape) for shape in shapes]
-
-    # ------------------------------------------------------------------
-    def mask_update(self, client_id: int, update: Sequence[np.ndarray]) -> List[np.ndarray]:
-        """Return the masked update client ``client_id`` uploads to the server."""
-        if not 0 <= client_id < self.num_clients:
-            raise ValueError(f"client_id must lie in [0, {self.num_clients}), got {client_id}")
-        shapes = [np.shape(layer) for layer in update]
-        masked = [np.array(layer, dtype=np.float64, copy=True) for layer in update]
-        for other in range(self.num_clients):
-            if other == client_id:
-                continue
-            mask = self._pair_mask(client_id, other, shapes)
-            sign = 1.0 if client_id < other else -1.0
-            for layer_index in range(len(masked)):
-                masked[layer_index] = masked[layer_index] + sign * mask[layer_index]
-        return masked
-
-    def aggregate(self, masked_updates: Dict[int, Sequence[np.ndarray]]) -> List[np.ndarray]:
-        """Sum the masked updates of *all* clients; the pairwise masks cancel."""
-        if set(masked_updates) != set(range(self.num_clients)):
-            raise ValueError(
-                "pairwise masking requires every client's masked update "
-                f"(got {sorted(masked_updates)}, expected 0..{self.num_clients - 1})"
-            )
-        any_update = next(iter(masked_updates.values()))
-        total = [np.zeros_like(np.asarray(layer, dtype=np.float64)) for layer in any_update]
-        for update in masked_updates.values():
-            for layer_index, layer in enumerate(update):
-                total[layer_index] = total[layer_index] + np.asarray(layer, dtype=np.float64)
-        return total
-
-    # ------------------------------------------------------------------
-    def run_round(self, updates: Sequence[Sequence[np.ndarray]]) -> Tuple[List[np.ndarray], Dict[int, List[np.ndarray]]]:
-        """Mask every client's update and aggregate; returns (sum, masked uploads)."""
-        if len(updates) != self.num_clients:
-            raise ValueError(f"expected {self.num_clients} updates, got {len(updates)}")
-        masked = {client_id: self.mask_update(client_id, update) for client_id, update in enumerate(updates)}
-        return self.aggregate(masked), masked
-
-
 class RoundSecureAggregator:
     """Pairwise masking for one federated round's *participating* cohort.
 
-    Where :class:`PairwiseMaskingProtocol` is the standalone textbook
-    simulation (dense population, Python-``hash`` pair seeds), this is the
-    variant the :class:`~repro.federated.server.FederatedServer` wires in
-    when ``config.secure_aggregation`` is on: masks pair up the clients that
+    The :class:`~repro.federated.server.FederatedServer` wires this in when
+    ``config.secure_aggregation`` is on: masks pair up the clients that
     actually participate this round (so every mask introduced is also
     cancelled, dropout or not), and each pair's mask stream comes from
     :func:`repro.rng.domain_seed_sequence` under
     :data:`SECURE_AGGREGATION_DOMAIN` — deterministic across processes,
-    backends and resume, unlike ``hash()``-derived seeds under
-    ``PYTHONHASHSEED`` randomisation for non-int keys.
+    backends and resume.
 
     A single-participant round degenerates gracefully: with no pairs there
     are no masks, and the upload is the bare update (nobody to hide among).

@@ -1,72 +1,18 @@
-"""Tests for the pairwise-masking secure aggregation simulation."""
+"""Tests for the pairwise-masking secure aggregation simulation, which masks
+only the cohort that actually participates in a round."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.federated.secure_aggregation import (
-    PairwiseMaskingProtocol,
-    RoundSecureAggregator,
-)
+from repro.federated.secure_aggregation import RoundSecureAggregator
 
 
 def _updates(rng, clients, shapes=((3, 3), (4,))):
     return [[rng.normal(size=s) for s in shapes] for _ in range(clients)]
 
 
-def test_masked_sum_equals_true_sum(rng):
-    protocol = PairwiseMaskingProtocol(num_clients=5, seed=1)
-    updates = _updates(rng, 5)
-    aggregated, masked = protocol.run_round(updates)
-    expected = [np.sum([u[layer] for u in updates], axis=0) for layer in range(2)]
-    for got, want in zip(aggregated, expected):
-        np.testing.assert_allclose(got, want, atol=1e-8)
-    assert set(masked) == {0, 1, 2, 3, 4}
-
-
-def test_individual_masked_updates_hide_the_true_update(rng):
-    """A type-0 adversary reading a single masked upload learns ~nothing."""
-    protocol = PairwiseMaskingProtocol(num_clients=4, mask_scale=10.0, seed=2)
-    updates = _updates(rng, 4)
-    _, masked = protocol.run_round(updates)
-    for client_id, upload in masked.items():
-        difference = np.concatenate(
-            [np.ravel(u - t) for u, t in zip(upload, updates[client_id])]
-        )
-        # the masking noise dwarfs the true update
-        assert np.std(difference) > 5.0
-
-
-def test_masking_is_deterministic_per_pair_and_protocol_seed(rng):
-    updates = _updates(rng, 3)
-    a = PairwiseMaskingProtocol(num_clients=3, seed=7).mask_update(0, updates[0])
-    b = PairwiseMaskingProtocol(num_clients=3, seed=7).mask_update(0, updates[0])
-    for left, right in zip(a, b):
-        np.testing.assert_array_equal(left, right)
-    c = PairwiseMaskingProtocol(num_clients=3, seed=8).mask_update(0, updates[0])
-    assert any(not np.allclose(left, right) for left, right in zip(a, c))
-
-
-def test_protocol_validation(rng):
-    with pytest.raises(ValueError):
-        PairwiseMaskingProtocol(num_clients=1)
-    with pytest.raises(ValueError):
-        PairwiseMaskingProtocol(num_clients=3, mask_scale=0.0)
-    protocol = PairwiseMaskingProtocol(num_clients=3)
-    updates = _updates(rng, 3)
-    with pytest.raises(ValueError):
-        protocol.mask_update(5, updates[0])
-    with pytest.raises(ValueError):
-        protocol.run_round(updates[:2])
-    with pytest.raises(ValueError):
-        protocol.aggregate({0: updates[0], 1: updates[1]})  # missing client 2
-
-
-# ----------------------------------------------------------------------
-# RoundSecureAggregator: the in-simulation variant, masking only the
-# cohort that actually participates in a round
-# ----------------------------------------------------------------------
 def test_round_aggregator_masks_cancel_over_the_cohort(rng):
     participants = [4, 1, 7]  # unsorted on purpose: order must not matter
     aggregator = RoundSecureAggregator(participants, seed=3, round_index=2)
@@ -118,11 +64,13 @@ def test_round_aggregator_validation(rng):
 def test_secure_aggregation_does_not_protect_client_side_leakage(rng):
     """The paper's point: masking hides uploads from the server, but the true
     update still exists in the clear at the client (type-1/2 surfaces)."""
-    protocol = PairwiseMaskingProtocol(num_clients=3, seed=0)
-    updates = _updates(rng, 3)
-    _, masked = protocol.run_round(updates)
+    aggregator = RoundSecureAggregator([0, 1, 2], seed=0, round_index=0)
+    update = _updates(rng, 1)[0]
+    upload = aggregator.mask_update(0, update)
     # the server-side view differs from the client's true update...
-    assert any(not np.allclose(m, t) for m, t in zip(masked[0], updates[0]))
-    # ...but the client-side (pre-masking) update is exactly the true update,
-    # which is what a type-1 adversary at the client reads.
-    np.testing.assert_allclose(updates[0][0], updates[0][0])
+    assert any(not np.allclose(m, t) for m, t in zip(upload, update))
+    # ...because the client adds its mask to the update it holds in the
+    # clear, which is what a type-1 adversary at the client reads
+    mask = aggregator.round_mask(0, [np.shape(layer) for layer in update])
+    for masked, mask_layer, true in zip(upload, mask, update):
+        np.testing.assert_allclose(masked - mask_layer, true, atol=1e-10)
