@@ -17,7 +17,7 @@ Quickstart::
     from repro.experiments.harness import quick_config
     from repro.federated.simulation import FederatedSimulation
 
-    sim = FederatedSimulation.from_config(quick_config("mnist", method="fed_cdp"))
+    sim = FederatedSimulation(quick_config("mnist", method="fed_cdp"))
     history = sim.run()
     print(history.final_accuracy)
 """

@@ -14,7 +14,7 @@ with its own :class:`numpy.random.SeedSequence`-derived RNG stream (see
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -53,22 +53,12 @@ class FederatedClient:
         self,
         global_weights: Sequence[np.ndarray],
         round_index: int,
-        rng: Optional[np.random.Generator] = None,
+        rng: np.random.Generator,
     ):
-        """Run local training for one round and return the resulting update."""
-        rng = rng if rng is not None else np.random.default_rng()
+        """Run local training for one round on the client's own RNG stream."""
         return self.trainer.train_client(
             self.dataset_for_round(round_index), global_weights, round_index, rng
         )
-
-    def sample_examples(
-        self, count: int, rng: Optional[np.random.Generator] = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Sample a few private examples (used by the attack harness as ground truth)."""
-        rng = rng if rng is not None else np.random.default_rng()
-        count = min(count, len(self.dataset))
-        indices = rng.choice(len(self.dataset), size=count, replace=False)
-        return self.dataset.features[indices], self.dataset.labels[indices]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"FederatedClient(id={self.client_id}, examples={self.num_examples})"
@@ -101,8 +91,6 @@ class LazyClientRoster(Sequence):
         return len(self.population)
 
     def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[k] for k in range(*index.indices(len(self)))]
         index = int(index)
         if index < 0:
             index += len(self)
@@ -110,7 +98,3 @@ class LazyClientRoster(Sequence):
         if self.shard_transform is not None:
             shard = self.shard_transform(index, shard)
         return FederatedClient(index, shard, self.trainer, drift=self.drift)
-
-    def materialize(self) -> List[FederatedClient]:
-        """All clients as an eager list (paper-scale convenience)."""
-        return [self[k] for k in range(len(self))]

@@ -361,12 +361,6 @@ class FederatedSimulation:
         self._completed_rounds = 0
 
     # ------------------------------------------------------------------
-    @classmethod
-    def from_config(cls, config: FederatedConfig) -> "FederatedSimulation":
-        """Alias constructor used throughout the examples."""
-        return cls(config)
-
-    # ------------------------------------------------------------------
     def evaluate(self) -> float:
         """Validation accuracy of the current global model."""
         self.model.set_weights(self.server.global_weights)

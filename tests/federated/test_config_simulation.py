@@ -195,12 +195,10 @@ def test_config_normalises_decay_clipping_to_float_pair():
     assert FederatedConfig.from_dict(config.to_dict()).decay_clipping == (6.0, 2.0)
 
 
-def test_client_validation_and_sampling(rng):
+def test_client_validation(rng):
     data = Dataset(rng.normal(size=(10, 4)), rng.integers(0, 2, size=10), num_classes=2)
     client = FederatedClient(0, data, trainer=None)
     assert client.num_examples == 10
-    x, y = client.sample_examples(3, rng=rng)
-    assert x.shape == (3, 4) and y.shape == (3,)
     with pytest.raises(ValueError):
         FederatedClient(1, data.subset([]), trainer=None)
 
