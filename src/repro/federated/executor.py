@@ -19,11 +19,12 @@ FederatedSimulation` uses to farm those jobs out:
 
 Determinism
 -----------
-Both backends consume *the same* randomness.  Under fixed-size sampling each
-round derives one child RNG stream per selected-client slot with
-:func:`spawn_client_seeds`; under Poisson sampling (where slots are
-meaningless — any subset of the population may be drawn) each participant's
-stream is keyed directly on its client id with
+Both backends consume *the same* randomness: the
+:class:`~repro.federated.server.FederatedServer` hands them one seed per
+participant.  Under fixed-size sampling it derives one child RNG stream per
+selected-client slot with :func:`spawn_client_seeds`; under Poisson
+sampling (where slots are meaningless — any subset of the population may be
+drawn) each participant's stream is keyed directly on its client id with
 :func:`client_id_seed_sequence`, so the stream is independent of the
 population size and of which other clients happened to be drawn.  Both
 schemes build on :func:`repro.rng.domain_seed_sequence`: streams are keyed on
