@@ -166,8 +166,6 @@ class SerialClientExecutor(ClientExecutor):
     ) -> List:
         if len(client_seeds) < len(selected):
             raise ValueError("need one client seed per selected client")
-        if not selected:  # skipped round (dropout / empty Poisson draw)
-            return []
         results = []
         for slot, client_index in enumerate(selected):
             rng = np.random.default_rng(client_seeds[slot])
