@@ -42,7 +42,7 @@ def run_fleet(churn_rate=None):
         history = simulation.run()
         epsilons = list(simulation.accountant.epsilon_per_client(config.delta))
         counts = list(simulation.accountant.participation_counts)
-        churn = simulation.availability.churn
+        churn = simulation.server.availability.churn
         lifetimes = [churn.lifetime(k) if churn else None for k in range(config.num_clients)]
     return history, epsilons, counts, lifetimes
 

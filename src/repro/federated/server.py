@@ -141,10 +141,6 @@ class FederatedServer:
     executor:
         The :class:`~repro.federated.executor.ClientExecutor` that runs the
         participants' local training.
-    availability:
-        The :class:`~repro.federated.availability.AvailabilityModel` that
-        thins each selected cohort (it returns the whole cohort when no
-        availability dynamic is configured).
     update_sanitizer:
         Optional callable applied to every collected client update before
         aggregation — used for the server-side variant of Fed-SDP.
@@ -160,7 +156,6 @@ class FederatedServer:
         config: FederatedConfig,
         global_weights: Sequence[np.ndarray],
         executor: ClientExecutor,
-        availability: AvailabilityModel,
         *,
         update_sanitizer: Optional[Callable[[List[np.ndarray], int, np.random.Generator], List[np.ndarray]]] = None,
         byzantine: Optional[ByzantineBehaviour] = None,
@@ -168,7 +163,9 @@ class FederatedServer:
         self.config = config
         self.global_weights: List[np.ndarray] = [np.array(w, dtype=np.float64, copy=True) for w in global_weights]
         self.executor = executor
-        self.availability = availability
+        #: thins each selected cohort (the whole cohort passes when the
+        #: config sets no availability dynamic)
+        self.availability = AvailabilityModel.from_config(config)
         self.update_sanitizer = update_sanitizer
         self.byzantine = byzantine
 

@@ -37,11 +37,11 @@ from repro.data.synthetic import generate_train_val
 from repro.nn import build_model_for_dataset, evaluate_accuracy
 from repro.privacy.ledger import AccountingContext, make_accountant
 
-from .availability import AvailabilityModel, DriftModel
+from .availability import DriftModel
 from .byzantine import ByzantineBehaviour
 from .client import FederatedClient, LazyClientRoster
 from .config import PRIVATE_METHODS, RESUME_MUTABLE_FIELDS, FederatedConfig
-from .executor import make_executor
+from .executor import ClientExecutor, make_executor
 from .history import RoundSpool, round_result_from_payload, round_result_to_payload
 from .server import AttackRecord, FederatedServer, MIARecord, RoundResult
 
@@ -319,7 +319,7 @@ class FederatedSimulation:
                 shard_transform=shard_transform,
                 drift=self.drift,
             )
-        self.executor = make_executor(
+        executor = make_executor(
             config,
             self.clients,
             train_dataset=self.train_dataset,
@@ -329,12 +329,10 @@ class FederatedSimulation:
         sanitizer = None
         if config.method == "fed_sdp" and config.sdp_server_side:
             sanitizer = self.trainer.sanitize_update
-        self.availability = AvailabilityModel.from_config(config)
         self.server = FederatedServer(
             config,
             self.model.get_weights(),
-            self.executor,
-            self.availability,
+            executor,
             update_sanitizer=sanitizer,
             byzantine=self.byzantine,
         )
@@ -475,7 +473,7 @@ class FederatedSimulation:
         ``examples/lifetime_epsilon_study.py`` (long-lived clients are
         charged more rounds, so their worst case dominates).
         """
-        churn = self.availability.churn
+        churn = self.server.availability.churn
         if churn is None or not hasattr(self.accountant, "epsilon_per_client"):
             return
         counts = np.asarray(self.accountant.participation_counts)
@@ -507,7 +505,7 @@ class FederatedSimulation:
     # ------------------------------------------------------------------
     def close(self) -> None:
         """Shut down the client-execution backend (worker pools)."""
-        self.executor.close()
+        self.server.executor.close()
 
     def __enter__(self) -> "FederatedSimulation":
         return self
@@ -651,6 +649,16 @@ class FederatedSimulation:
         return simulation
 
     # ------------------------------------------------------------------
+    @property
+    def executor(self) -> ClientExecutor:
+        """The server's client-execution backend; assigning swaps it for the
+        following rounds."""
+        return self.server.executor
+
+    @executor.setter
+    def executor(self, executor: ClientExecutor) -> None:
+        self.server.executor = executor
+
     def global_weights(self) -> List[np.ndarray]:
         """Copies of the current global model weights."""
         return [np.array(w, copy=True) for w in self.server.global_weights]

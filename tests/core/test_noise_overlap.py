@@ -226,6 +226,8 @@ def test_failed_replay_waits_for_the_draw(mnist_setup, monkeypatch):
 
 _FORK_SCRIPT = textwrap.dedent(
     """
+    import multiprocessing
+
     import numpy as np
     from repro.experiments.harness import quick_config
     from repro.federated import FederatedSimulation
@@ -241,6 +243,8 @@ _FORK_SCRIPT = textwrap.dedent(
             config, num_workers=2, start_method="fork"
         )
         forked.run()
+        # the rounds ran on the forked pool, not on the serial executor
+        assert len(multiprocessing.active_children()) == 2
     for a, b in zip(serial.global_weights(), forked.global_weights()):
         np.testing.assert_array_equal(a, b)
     print("fork-ok")

@@ -385,10 +385,10 @@ def test_private_methods_spend_less_privacy_under_heavy_dropout():
 def test_default_configs_have_no_availability_dynamics():
     config = quick_config("cancer", "nonprivate")
     simulation = FederatedSimulation(config)
-    assert not simulation.availability.active
-    assert simulation.availability.cycle is None
-    assert simulation.availability.churn is None
-    assert simulation.availability.device_classes is None
+    assert not simulation.server.availability.active
+    assert simulation.server.availability.cycle is None
+    assert simulation.server.availability.churn is None
+    assert simulation.server.availability.device_classes is None
     assert simulation.drift is None
     history = simulation.run()
     for result in history.rounds:

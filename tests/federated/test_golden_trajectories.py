@@ -324,22 +324,18 @@ def test_byzantine_fixture_genuinely_perturbs_training():
     )
 
 
-def test_flaky_fixture_exercises_availability():
-    """The flaky-network cell must genuinely contain dropout/straggler events."""
-    with open(os.path.join(GOLDEN_DIR, "fed_cdp_dirichlet_flaky.json")) as handle:
+@pytest.mark.parametrize(
+    "name", ["fed_cdp_dirichlet_flaky", "fed_cdp_iid_poisson_dropout", "fed_cdp_iid_secure_dropout"]
+)
+def test_flaky_fixture_exercises_availability(name):
+    """The flaky-network, Poisson-dropout and secure-dropout cells must each
+    lose a selected client in some round, so their fixtures lock a cohort
+    smaller than the selection."""
+    with open(os.path.join(GOLDEN_DIR, f"{name}.json")) as handle:
         payload = json.load(handle)
     dropped = sum(len(r["dropped_clients"]) for r in payload["rounds"])
     stragglers = sum(len(r["straggler_clients"]) for r in payload["rounds"])
     assert dropped + stragglers > 0
-
-
-@pytest.mark.parametrize("name", ["fed_cdp_iid_poisson_dropout", "fed_cdp_iid_secure_dropout"])
-def test_server_path_dropout_fixtures_lose_clients(name):
-    """The Poisson and secure-aggregation cells must each drop a client in
-    some round, so their fixtures lock a cohort smaller than the selection."""
-    with open(os.path.join(GOLDEN_DIR, f"{name}.json")) as handle:
-        payload = json.load(handle)
-    assert sum(len(r["dropped_clients"]) for r in payload["rounds"]) > 0
 
 
 def test_dynamics_fixture_exercises_population_dynamics():

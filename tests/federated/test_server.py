@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from repro.federated import (
-    AvailabilityModel,
     FederatedConfig,
     FederatedServer,
     SerialClientExecutor,
@@ -60,7 +59,6 @@ def _server(clients, global_weights, *, update_sanitizer=None, **overrides):
         config,
         global_weights,
         SerialClientExecutor(clients),
-        AvailabilityModel.from_config(config),
         update_sanitizer=update_sanitizer,
     )
 
