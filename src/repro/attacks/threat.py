@@ -23,7 +23,7 @@ drawn from the harness's own ``rng``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -93,7 +93,7 @@ class GradientLeakageThreat:
             # Fed-CDP (and decay): every per-example gradient is already noisy
             # before it is averaged, at the client and hence also at the server.
             # The whole batch goes through the vectorized stacked pipeline.
-            observed, _, _ = trainer.sanitized_stack_mean(features, labels, round_index, rng)
+            observed = trainer.sanitized_mean(features, labels, round_index, rng)
         else:
             observed, _ = trainer.compute_batch_gradient(features, labels)
             if isinstance(trainer, FedSDPTrainer):
@@ -181,20 +181,3 @@ class GradientLeakageThreat:
             batch_size=observation.batch_size,
             global_weights=global_weights,
         )
-
-    def attack_all_types(
-        self,
-        global_weights: Sequence[np.ndarray],
-        features: np.ndarray,
-        labels: np.ndarray,
-        round_index: int = 0,
-        rng: Optional[np.random.Generator] = None,
-    ) -> Dict[str, AttackResult]:
-        """Run all three leakage attacks against the same private batch."""
-        rng = rng if rng is not None else np.random.default_rng()
-        return {
-            leakage_type: self.attack(
-                leakage_type, global_weights, features, labels, round_index=round_index, rng=rng
-            )
-            for leakage_type in LEAKAGE_TYPES
-        }

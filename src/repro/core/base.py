@@ -25,6 +25,7 @@ used by the threat harness in :mod:`repro.attacks.threat`:
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -32,12 +33,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.autodiff import Tensor, grad
+from repro.data.dataset import batch_indices
 from repro.federated.config import FederatedConfig
 from repro.nn import CrossEntropyLoss, Sequential
 from repro.nn.perexample import per_example_gradients, per_example_gradients_looped
 from repro.privacy.accountant import MomentsAccountant
 from repro.privacy.clipping import global_l2_norm
 from repro.privacy.ledger import RoundCharge
+from repro.privacy.mechanisms import GaussianMechanism, LocalStream, StepNoise
 
 __all__ = ["LocalUpdate", "LocalTrainerBase"]
 
@@ -134,29 +137,37 @@ class LocalTrainerBase:
         """Run one client's local training for this round.
 
         Subclasses implement :meth:`_sanitized_batch_gradient` (how a batch's
-        descent direction is produced) and optionally
+        descent direction is produced) and optionally :meth:`_step_noise`
+        (the per-example noise every step draws) and
         :meth:`_postprocess_update` (what happens to the finished update
-        before it is shared).
+        before it is shared).  The steps are fed by one :class:`LocalStream`:
+        each draws its batch indices (:func:`batch_indices`) and then its
+        noise from ``rng``, ahead on the noise thread when the stream is
+        large enough.
         """
         self.model.set_weights(list(global_weights))
-        batch_size = self.config.effective_batch_size
         iterations = self._local_iterations(dataset)
         learning_rate = self.config.learning_rate
+        population = len(dataset)
+        batch = min(self.config.effective_batch_size, population)
+        mechanism = self._step_noise(round_index)
+        width = self._num_params() if mechanism is not None else 0
+        draw_indices = functools.partial(batch_indices, population=population, batch_size=batch)
 
         losses: List[float] = []
         gradient_norms: List[float] = []
         start = time.perf_counter()
-        for features, labels in dataset.batches(
-            batch_size, rng=rng, num_batches=iterations, with_replacement=True
-        ):
-            step_gradient, loss_value, raw_norm = self._sanitized_batch_gradient(
-                features, labels, round_index, rng
-            )
-            losses.append(loss_value)
-            gradient_norms.append(raw_norm)
-            params = self.model.parameters()
-            for param, gradient in zip(params, step_gradient):
-                param.data = param.data - learning_rate * gradient
+        steps = iterations if population else 0
+        with LocalStream(mechanism, rng, steps, batch, width, draw_indices) as stream:
+            for indices, noise in stream:
+                step_gradient, loss_value, raw_norm = self._sanitized_batch_gradient(
+                    dataset.features[indices], dataset.labels[indices], round_index, rng, noise
+                )
+                losses.append(loss_value)
+                gradient_norms.append(raw_norm)
+                params = self.model.parameters()
+                for param, gradient in zip(params, step_gradient):
+                    param.data = param.data - learning_rate * gradient
         elapsed_ms = (time.perf_counter() - start) * 1000.0
 
         local_weights = self.model.get_weights()
@@ -172,6 +183,9 @@ class LocalTrainerBase:
             metadata=metadata,
         )
 
+    def _num_params(self) -> int:
+        return sum(param.data.size for param in self.model.parameters())
+
     # ------------------------------------------------------------------
     # Hooks overridden by the concrete methods
     # ------------------------------------------------------------------
@@ -181,14 +195,21 @@ class LocalTrainerBase:
         labels: np.ndarray,
         round_index: int,
         rng: np.random.Generator,
+        noise: Optional[StepNoise],
     ) -> Tuple[List[np.ndarray], float, float]:
         """Produce the descent direction for one local batch.
 
-        Returns ``(gradients, loss, raw_gradient_norm)`` where
-        ``raw_gradient_norm`` is the pre-sanitisation global L2 norm (the
-        quantity plotted in Figure 3).
+        ``noise`` is the step's per-example noise from the client's stream
+        (``None`` when :meth:`_step_noise` gives none); only then may the
+        step draw from ``rng`` itself.  Returns ``(gradients, loss,
+        raw_gradient_norm)`` where ``raw_gradient_norm`` is the
+        pre-sanitisation global L2 norm (the quantity plotted in Figure 3).
         """
         raise NotImplementedError
+
+    def _step_noise(self, round_index: int) -> Optional[GaussianMechanism]:
+        """The mechanism noising each example's gradient at every local step, if any."""
+        return None
 
     def _postprocess_update(
         self, delta: List[np.ndarray], round_index: int, rng: np.random.Generator
@@ -205,7 +226,8 @@ class LocalTrainerBase:
         features: np.ndarray,
         labels: np.ndarray,
         round_index: int = 0,
-        rng: Optional[np.random.Generator] = None,
+        *,
+        rng: np.random.Generator,
     ) -> List[np.ndarray]:
         """Gradient of a single example as a type-2 adversary would observe it.
 

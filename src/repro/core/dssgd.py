@@ -10,12 +10,13 @@ three gradient-leakage types.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.federated.config import FederatedConfig
 from repro.nn import Sequential
+from repro.privacy.mechanisms import StepNoise
 
 from .base import LocalTrainerBase
 
@@ -60,6 +61,7 @@ class DSSGDTrainer(LocalTrainerBase):
         labels: np.ndarray,
         round_index: int,
         rng: np.random.Generator,
+        noise: Optional[StepNoise],
     ) -> Tuple[List[np.ndarray], float, float]:
         gradients, loss = self.compute_batch_gradient(features, labels)
         return gradients, loss, self._global_norm(gradients)

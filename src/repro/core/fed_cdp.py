@@ -29,7 +29,7 @@ from repro.privacy.clipping import (
     per_example_layer_norms,
 )
 from repro.privacy.ledger import RoundCharge
-from repro.privacy.mechanisms import GaussianMechanism
+from repro.privacy.mechanisms import GaussianMechanism, LocalStream, StepNoise
 
 from .base import LocalTrainerBase
 
@@ -67,41 +67,52 @@ class FedCDPTrainer(LocalTrainerBase):
         mechanism = GaussianMechanism(self.config.noise_scale, bound)
         return mechanism.add_noise_to_list(clipped, rng=rng)
 
+    def _mechanism(self, round_index: int) -> GaussianMechanism:
+        return GaussianMechanism(self.config.noise_scale, self.clipping.bound_for_round(round_index))
+
+    def _step_noise(self, round_index: int) -> Optional[GaussianMechanism]:
+        # the looped reference draws its noise itself, example by example
+        return None if self.per_example_mode == "looped" else self._mechanism(round_index)
+
     def sanitized_stack_mean(
         self,
         features: np.ndarray,
         labels: np.ndarray,
         round_index: int,
-        rng: np.random.Generator,
+        noise: Optional[StepNoise],
     ) -> Tuple[List[np.ndarray], float, List[np.ndarray]]:
         """Batch mean of the clipped, noised per-example gradients of a batch.
 
         Vectorized equivalent of averaging :meth:`sanitize_per_example_gradient`
         over the examples: the per-example stack's layer norms come from one
         einsum per layer, and :func:`clip_noise_mean` clips, noises and
-        averages it in one pass over the row blocks of one flat
-        ``(B, total_params)`` draw, which consumes ``rng`` in the looped
-        path's order.  Nothing else here draws from ``rng``, so a large draw
-        runs on the noise thread while the per-example replay runs on this
-        one, and each block is consumed as soon as it lands
-        (:meth:`GaussianMechanism.start_stack_noise`); the stream, and so
-        every value, is the same either way.  Returns ``(mean_gradient,
+        averages it in one pass over the row blocks of the step's flat
+        ``(B, total_params)`` draw, ``noise`` (``None`` at sigma = 0), which
+        a :class:`LocalStream` makes in the looped path's order and may have
+        drawn ahead on the noise thread.  Returns ``(mean_gradient,
         mean_loss, pre_clip_layer_norms)``; the norms feed the Figure-3
         raw-norm telemetry without a second pass.
         """
         bound = self.clipping.bound_for_round(round_index)
-        mechanism = GaussianMechanism(self.config.noise_scale, bound)
-        num_params = sum(param.data.size for param in self.model.parameters())
-        noise = mechanism.start_stack_noise((len(features), num_params), rng)
-        try:
-            stack, mean_loss = self.compute_per_example_gradient_stack(features, labels)
-            layer_norms = per_example_layer_norms(stack)
-            mean = clip_noise_mean(stack, layer_norms, bound, noise)
-        except BaseException:
-            if noise is not None:
-                noise.wait()  # rng is the caller's again only once the draw is done
-            raise
-        return mean, mean_loss, layer_norms
+        stack, mean_loss = self.compute_per_example_gradient_stack(features, labels)
+        layer_norms = per_example_layer_norms(stack)
+        return clip_noise_mean(stack, layer_norms, bound, noise), mean_loss, layer_norms
+
+    def sanitized_mean(
+        self,
+        features: np.ndarray,
+        labels: np.ndarray,
+        round_index: int,
+        rng: np.random.Generator,
+    ) -> List[np.ndarray]:
+        """:meth:`sanitized_stack_mean` of one batch, its noise drawn from ``rng``.
+
+        The batch's draw is a one-step :class:`LocalStream` without index
+        draws: what the type-0/1 and type-2 adversaries observe.
+        """
+        with LocalStream(self._mechanism(round_index), rng, 1, len(features), self._num_params()) as stream:
+            _, noise = next(iter(stream))
+            return self.sanitized_stack_mean(features, labels, round_index, noise)[0]
 
     def _sanitized_batch_gradient(
         self,
@@ -109,6 +120,7 @@ class FedCDPTrainer(LocalTrainerBase):
         labels: np.ndarray,
         round_index: int,
         rng: np.random.Generator,
+        noise: Optional[StepNoise],
     ) -> Tuple[List[np.ndarray], float, float]:
         if self.per_example_mode == "looped":
             # True end-to-end reference: per-example Python-loop sanitisation,
@@ -127,7 +139,7 @@ class FedCDPTrainer(LocalTrainerBase):
                 for layer in range(len(sanitized_examples[0]))
             ]
             return averaged, mean_loss, raw_norm
-        averaged, mean_loss, layer_norms = self.sanitized_stack_mean(features, labels, round_index, rng)
+        averaged, mean_loss, layer_norms = self.sanitized_stack_mean(features, labels, round_index, noise)
         raw_norm = float(np.mean(per_example_global_norms(layer_norms=layer_norms)))
         return averaged, mean_loss, raw_norm
 
@@ -150,13 +162,12 @@ class FedCDPTrainer(LocalTrainerBase):
         features: np.ndarray,
         labels: np.ndarray,
         round_index: int = 0,
-        rng: Optional[np.random.Generator] = None,
+        *,
+        rng: np.random.Generator,
     ) -> List[np.ndarray]:
-        rng = rng if rng is not None else np.random.default_rng()
         self.model.set_weights(list(global_weights))
         # the training path at B = 1: the mean over one row is the row
-        observed, _, _ = self.sanitized_stack_mean(features[:1], labels[:1], round_index, rng)
-        return observed
+        return self.sanitized_mean(features[:1], labels[:1], round_index, rng)
 
     # ------------------------------------------------------------------
     # Privacy accounting: L subsampled-Gaussian invocations per round at the

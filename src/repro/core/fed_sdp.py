@@ -11,7 +11,7 @@ type-2 leakage — the observation that motivates Fed-CDP.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from repro.federated.config import FederatedConfig
 from repro.nn import Sequential
 from repro.privacy.clipping import ConstantClipping, clip_gradients_per_layer
 from repro.privacy.ledger import RoundCharge
-from repro.privacy.mechanisms import GaussianMechanism
+from repro.privacy.mechanisms import GaussianMechanism, StepNoise
 
 from .base import LocalTrainerBase
 
@@ -45,6 +45,7 @@ class FedSDPTrainer(LocalTrainerBase):
         labels: np.ndarray,
         round_index: int,
         rng: np.random.Generator,
+        noise: Optional[StepNoise],
     ) -> Tuple[List[np.ndarray], float, float]:
         # One batched forward/backward; the (vectorized) global norm is the
         # Figure-3 telemetry, computed from flat dot products per layer.

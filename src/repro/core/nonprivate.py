@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
+
+from repro.privacy.mechanisms import StepNoise
 
 from .base import LocalTrainerBase
 
@@ -27,6 +29,7 @@ class NonPrivateTrainer(LocalTrainerBase):
         labels: np.ndarray,
         round_index: int,
         rng: np.random.Generator,
+        noise: Optional[StepNoise],
     ) -> Tuple[List[np.ndarray], float, float]:
         gradients, loss = self.compute_batch_gradient(features, labels)
         return gradients, loss, self._global_norm(gradients)

@@ -7,7 +7,17 @@ from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["Dataset"]
+__all__ = ["Dataset", "batch_indices"]
+
+
+def batch_indices(rng: np.random.Generator, population: int, batch_size: int) -> np.ndarray:
+    """Indices of one mini-batch drawn with replacement from ``population`` examples.
+
+    The one draw behind :meth:`Dataset.batches` with replacement and behind
+    every local step of :meth:`repro.core.base.LocalTrainerBase.train_client`:
+    ``min(batch_size, population)`` uniform integers from ``rng``.
+    """
+    return rng.integers(0, population, size=min(batch_size, population))
 
 
 @dataclass
@@ -87,7 +97,7 @@ class Dataset:
         if with_replacement:
             total = num_batches if num_batches is not None else max(1, n // batch_size)
             for _ in range(total):
-                idx = rng.integers(0, n, size=min(batch_size, n))
+                idx = batch_indices(rng, n, batch_size)
                 yield self.features[idx], self.labels[idx]
         else:
             order = rng.permutation(n)

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 import numpy as np
 
 if TYPE_CHECKING:
-    from .mechanisms import StackNoise
+    from .mechanisms import StepNoise
 
 __all__ = [
     "l2_norm",
@@ -156,7 +156,7 @@ def clip_noise_mean(
     stack: Sequence[np.ndarray],
     layer_norms: Sequence[np.ndarray],
     bound: float,
-    noise: Optional["StackNoise"] = None,
+    noise: Optional["StepNoise"] = None,
 ) -> List[np.ndarray]:
     """Batch mean of the clipped, noised examples of a stack, in one pass.
 
@@ -170,16 +170,15 @@ def clip_noise_mean(
     axis-0 reduction does and is divided by ``B`` at the end.
 
     ``layer_norms`` are the stack's :func:`per_example_layer_norms`;
-    ``noise`` is the step's draw from
-    :meth:`~repro.privacy.mechanisms.GaussianMechanism.start_stack_noise`,
-    or ``None`` for no noise.
+    ``noise`` is the step's draw from a
+    :class:`~repro.privacy.mechanisms.LocalStream`, or ``None`` for no noise.
     """
     _check_bound(bound)
     batch = stack[0].shape[0]
     flats = [np.asarray(layer, dtype=np.float64).reshape(batch, -1) for layer in stack]
     scales = [scale[:, None] for scale in _clip_scales(layer_norms, bound)]
     sums = [np.zeros(flat.shape[1]) for flat in flats]
-    blocks = noise if noise is not None else [None]
+    blocks = noise.blocks if noise is not None else [None]
     start = 0
     for block in blocks:
         stop = batch if block is None else start + block.shape[0]

@@ -5,27 +5,29 @@ Implements the Gaussian mechanism of Definition 2 and its calibration rule
 L2-sensitivity ``S`` yields ``(epsilon, delta)``-DP when
 ``sigma^2 > 2 log(1.25 / delta) / epsilon^2``.
 
-Large per-example noise draws (Fed-CDP's ``(B, P)`` stack) can run on one
-worker thread, in row blocks, while the caller computes what the noise is
-added to; see :meth:`GaussianMechanism.start_stack_noise`.
+A Fed-CDP client's per-example noise, and the batch indices drawn between
+it, can be drawn ahead on one worker thread, in row blocks, while the caller
+computes what the noise is added to; see :class:`LocalStream`.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import queue
+import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["GaussianMechanism", "calibrate_sigma", "epsilon_for_sigma"]
+__all__ = ["GaussianMechanism", "LocalStream", "StepNoise", "calibrate_sigma", "epsilon_for_sigma"]
 
-#: Smallest stacked noise draw (``B * P`` normals, 1 MiB of float64) that
-#: :meth:`GaussianMechanism.start_stack_noise` hands to the worker thread,
-#: and the least a row block of such a draw holds.  Below it the thread
-#: handoff and the GIL reacquisition cost more than the draw they hide.
+#: Smallest client noise stream (``L * B * P`` normals, 1 MiB of float64)
+#: that a :class:`LocalStream` hands to the worker thread, and the least a
+#: row block of a step's draw holds.  Below it the thread handoff and the
+#: GIL reacquisitions cost more than the draws they hide.
 OFFLOAD_MIN_DRAWS = 1 << 17
 
 _noise_worker: Optional[ThreadPoolExecutor] = None
@@ -50,55 +52,204 @@ if hasattr(os, "register_at_fork"):  # absent where processes cannot fork
     os.register_at_fork(after_in_child=_forget_noise_executor)
 
 
-class StackNoise:
-    """A ``(B, P)`` noise draw delivered in row blocks, in stream order.
+class StepNoise(NamedTuple):
+    """One local step's ``(B, P)`` noise draw, as the row blocks of a :class:`LocalStream`."""
 
-    Each block holds ``ceil(OFFLOAD_MIN_DRAWS / P)`` rows (the last may hold
-    fewer).  Iterating yields the blocks in order: an offloaded draw's blocks
-    were all submitted, in order, to the single noise thread, which runs them
-    first in, first out, so consuming ``rng`` exactly as one ``(B, P)`` draw
-    does; iteration waits for each.  Otherwise each block is drawn on the
-    calling thread when it is reached.  Until every block is drawn nothing
-    else may use ``rng``; a caller abandoning the step calls :meth:`wait`.
+    mechanism: "GaussianMechanism"
+    #: the step's blocks in row order; a block is valid until the next is taken
+    blocks: Iterator[np.ndarray]
+
+
+class LocalStream:
+    """The whole random stream of one client's local loop, in stream order.
+
+    Each of ``steps`` steps draws its batch indices, ``draw_indices(rng)``
+    (none when ``draw_indices`` is ``None``), and then, when ``mechanism``
+    adds noise, its ``(batch, width)`` per-example noise by
+    :meth:`GaussianMechanism.fill_noise`, in row blocks of
+    ``ceil(OFFLOAD_MIN_DRAWS / width)`` rows (a step's last block may hold
+    fewer).  Iterating yields ``(indices, noise)`` per step, ``noise`` a
+    :class:`StepNoise` or ``None``; a step's blocks are taken before the next
+    step is.
+
+    When the whole stream holds at least :data:`OFFLOAD_MIN_DRAWS` normals,
+    one task on the process's noise thread draws all of it ahead, into a
+    ring of row blocks allocated on the calling thread: a used block's slot
+    is refilled with a later block, and a step waits only for what is not
+    drawn yet.  The ring holds whole steps: one, or as many as
+    ``2 * OFFLOAD_MIN_DRAWS`` normals fill, so that the draws of small steps
+    stay more than a step ahead (see :meth:`_hand_over`).  A smaller stream is
+    drawn on the calling thread, each draw when it is reached.  Either way
+    ``rng`` is consumed in the same order, so every value is the same.
+    Nothing else may use ``rng`` until :meth:`close` (or leaving the
+    ``with`` block) has returned.  The noise thread runs one stream at a
+    time: close a stream before iterating another.
     """
 
     def __init__(
         self,
-        mechanism: "GaussianMechanism",
-        shape: Tuple[int, int],
+        mechanism: Optional["GaussianMechanism"],
         rng: np.random.Generator,
-        offload: bool,
+        steps: int,
+        batch: int,
+        width: int,
+        draw_indices: Optional[Callable[[np.random.Generator], np.ndarray]] = None,
     ) -> None:
-        self.mechanism = mechanism
-        self.shape = shape
-        batch, width = shape
+        self.mechanism = mechanism if mechanism is not None and mechanism.stddev > 0 else None
+        self.steps, self.width = steps, width
         rows = max(1, -(-OFFLOAD_MIN_DRAWS // max(width, 1)))
         self.row_bounds = [(start, min(start + rows, batch)) for start in range(0, batch, rows)]
         self._rng = rng
-        self._pending: Optional[List["Future[np.ndarray]"]] = None
-        if offload:
-            # Allocated here, on the calling thread: a buffer allocated on
-            # the worker would live in that thread's own malloc arena.
-            buffer = np.empty(shape, dtype=np.float64)
-            worker = _noise_executor()
-            self._pending = [
-                worker.submit(mechanism.fill_noise, buffer[start:stop], rng)
-                for start, stop in self.row_bounds
-            ]
+        self._draw_indices = draw_indices
+        self._task: Optional["Future[None]"] = None
+        draws = steps * batch * width if self.mechanism is not None else 0
+        if draws and draws >= OFFLOAD_MIN_DRAWS:
+            self._start()
 
-    def __iter__(self) -> Iterator[np.ndarray]:
-        if self._pending is not None:
-            for block in self._pending:
-                yield block.result()
-            return
+    def _start(self) -> None:
+        per_step = len(self.row_bounds)
+        batch = self.row_bounds[-1][1]
+        # max(one step, 2 * OFFLOAD_MIN_DRAWS normals in whole blocks) is a
+        # whole number of steps: a step splits into blocks only when one
+        # block already holds OFFLOAD_MIN_DRAWS normals
+        blocks = max(per_step, -(-2 * OFFLOAD_MIN_DRAWS // (self.row_bounds[0][1] * self.width)))
+        depth = min(blocks // per_step, self.steps)
+        # Allocated here, on the calling thread: a buffer allocated on the
+        # worker would live in that thread's own malloc arena.
+        self._ring = np.empty((depth, batch, self.width))
+        # each ``_free`` token is one block's slot the task may fill;
+        # ``_drawn`` holds what it drew, in stream order (``None`` after an error)
+        self._free: "queue.SimpleQueue[None]" = queue.SimpleQueue()
+        for _ in range(depth * per_step):
+            self._free.put(None)
+        self._drawn: "queue.SimpleQueue[Optional[np.ndarray]]" = queue.SimpleQueue()
+        self._cancelled = False
+        # small steps hand the GIL over at each step (see _hand_over): draws
+        # not started yet, slots of the step being taken, whether the task
+        # waits for a free slot, and whether this thread waits on
+        # ``_started`` for the task's next draw to start
+        self._hand_over_steps = depth >= 2
+        self._lock = threading.Lock()
+        self._undrawn = self.steps * per_step
+        self._held = 0
+        self._idle = False
+        self._waiting = False
+        self._started: "queue.SimpleQueue[None]" = queue.SimpleQueue()
+        self._task = _noise_executor().submit(self._produce)
+
+    # -- the noise thread ----------------------------------------------
+    def _produce(self) -> None:
+        rng, ring, free, drawn = self._rng, self._ring, self._free, self._drawn
+        try:
+            for step in range(self.steps):
+                rows = ring[step % len(ring)]
+                for block, (start, stop) in enumerate(self.row_bounds):
+                    self._idle = True
+                    free.get()
+                    self._idle = False
+                    if self._cancelled:
+                        return
+                    if block == 0 and self._draw_indices is not None:
+                        drawn.put(self._draw_indices(rng))
+                    self._starting()
+                    # only the GIL-free fill: scaling too would release the GIL once more
+                    drawn.put(rng.standard_normal(out=rows[start:stop]))
+        except BaseException:
+            drawn.put(None)  # wakes the consumer, which raises this error
+            raise
+        finally:
+            self._starting(last=True)  # no draw is left to wait for
+
+    def _starting(self, last: bool = False) -> None:
+        with self._lock:
+            self._undrawn = 0 if last else self._undrawn - 1
+            if self._waiting:
+                self._waiting = False
+                self._started.put(None)
+
+    # -- the calling thread --------------------------------------------
+    def __iter__(self) -> Iterator[Tuple[Optional[np.ndarray], Optional[StepNoise]]]:
+        streamed = self._task is not None
+        for _ in range(self.steps):
+            if streamed and self._hand_over_steps:
+                self._hand_over()
+            indices = None
+            if self._draw_indices is not None:
+                indices = self._next() if streamed else self._draw_indices(self._rng)
+            if self.mechanism is None:
+                yield indices, None
+            else:
+                blocks = self._streamed_blocks() if streamed else self._inline_blocks()
+                yield indices, StepNoise(self.mechanism, blocks)
+
+    def _hand_over(self) -> None:
+        """Free the last step's slots; if the task waits for one, let it start.
+
+        A small step's replay holds the GIL nearly throughout.  A task woken
+        in its middle by a freed slot would take the GIL at the replay's
+        next release, and then again after its GIL-free index draw, and
+        each time this thread sleeps until it is handed back.  So a small
+        step's slots are freed only here, between steps, and if the task
+        is waiting for one, this thread blocks until the task has drawn
+        the next indices and entered its next GIL-free noise draw.  With
+        the ring more than a step ahead, that costs two thread wake-ups per
+        step and the task takes the GIL mid-step once, when its draw ends.
+        """
+        with self._lock:
+            for _ in range(self._held):
+                self._free.put(None)
+            self._held = len(self.row_bounds)
+            if not (self._undrawn and self._idle):
+                return  # no draw left, or one is running
+            self._waiting = True
+        self._started.get()
+
+    def _next(self) -> np.ndarray:
+        item = self._drawn.get()
+        if item is None:
+            self._task.result()  # raises the noise thread's error
+        return item
+
+    def _streamed_blocks(self) -> Iterator[np.ndarray]:
+        for _ in self.row_bounds:
+            block = self._next()
+            block *= self.mechanism.stddev  # completes fill_noise
+            yield block
+            if not self._hand_over_steps:
+                self._free.put(None)  # the block is used up: its slot may be refilled
+
+    def _inline_blocks(self) -> Iterator[np.ndarray]:
         for start, stop in self.row_bounds:
-            block = np.empty((stop - start, self.shape[1]), dtype=np.float64)
+            block = np.empty((stop - start, self.width), dtype=np.float64)
             yield self.mechanism.fill_noise(block, self._rng)
 
-    def wait(self) -> None:
-        """Wait until no block of an offloaded draw is still using ``rng``."""
-        for block in self._pending or ():
-            block.exception()
+    def close(self) -> None:
+        """Stop the noise thread's task, wait for it, and free the ring.
+
+        ``rng`` is the caller's again once this returns.  An error of the
+        task is raised here; leaving a ``with`` block on an error only waits.
+        """
+        task = self._stop()
+        if task is not None:
+            task.result()
+
+    def _stop(self) -> Optional["Future[None]"]:
+        task, self._task = self._task, None
+        if task is not None:
+            self._cancelled = True
+            self._free.put(None)  # a task waiting for a free slot wakes and stops
+            task.exception()  # waits
+            self._ring = self._drawn = None
+        return task
+
+    def __enter__(self) -> "LocalStream":
+        return self
+
+    def __exit__(self, exc_type, exc, traceback) -> None:
+        if exc_type is None:
+            self.close()
+        else:
+            self._stop()
 
 
 def calibrate_sigma(epsilon: float, delta: float) -> float:
@@ -184,22 +335,6 @@ class GaussianMechanism:
         out *= self.stddev
         return out
 
-    def start_stack_noise(
-        self, shape: Tuple[int, int], rng: np.random.Generator
-    ) -> Optional[StackNoise]:
-        """Start drawing a ``(B, P)`` stack's noise in row blocks; see :class:`StackNoise`.
-
-        When the draw has at least :data:`OFFLOAD_MIN_DRAWS` normals, its
-        blocks are filled by :meth:`fill_noise` on the process's noise thread
-        (numpy's bulk fill releases the GIL) while the caller computes what
-        they are added to; a smaller draw is one block, drawn on the calling
-        thread when it is consumed.  Returns ``None`` when the noise is zero.
-        """
-        if self.stddev == 0.0:
-            return None
-        offload = shape[0] * shape[1] >= OFFLOAD_MIN_DRAWS
-        return StackNoise(self, shape, rng, offload)
-
     def add_noise_to_stack(
         self,
         stack: Sequence[np.ndarray],
@@ -218,7 +353,7 @@ class GaussianMechanism:
         path.
 
         ``noise`` is that ``(B, total)`` draw already made (a block of a
-        :class:`StackNoise`); it is used instead of drawing from ``rng``.
+        :class:`LocalStream`); it is used instead of drawing from ``rng``.
         The returned arrays are views of the noise buffer, into which
         ``stack`` has been added in place.
         """

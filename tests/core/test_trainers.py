@@ -168,7 +168,7 @@ def test_fed_cdp_observed_gradient_differs_from_clean(small_setup):
     _, config, model, dataset = small_setup
     weights = model.get_weights()
     clean = NonPrivateTrainer(model, config).observed_per_example_gradient(
-        weights, dataset.features[:1], dataset.labels[:1]
+        weights, dataset.features[:1], dataset.labels[:1], rng=np.random.default_rng(0)
     )
     protected = FedCDPTrainer(model, config.with_overrides(noise_scale=2.0)).observed_per_example_gradient(
         weights, dataset.features[:1], dataset.labels[:1], rng=np.random.default_rng(0)
