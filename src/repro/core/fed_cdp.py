@@ -62,9 +62,8 @@ class FedCDPTrainer(LocalTrainerBase):
         rng: np.random.Generator,
     ) -> List[np.ndarray]:
         """Clip one example's layer-wise gradients to C(t) and add Gaussian noise."""
-        bound = self.clipping.bound_for_round(round_index)
-        clipped = clip_gradients_per_layer(gradients, bound)
-        mechanism = GaussianMechanism(self.config.noise_scale, bound)
+        mechanism = self._mechanism(round_index)
+        clipped = clip_gradients_per_layer(gradients, mechanism.sensitivity)
         return mechanism.add_noise_to_list(clipped, rng=rng)
 
     def _mechanism(self, round_index: int) -> GaussianMechanism:

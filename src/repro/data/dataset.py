@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -11,13 +11,16 @@ __all__ = ["Dataset", "batch_indices"]
 
 
 def batch_indices(rng: np.random.Generator, population: int, batch_size: int) -> np.ndarray:
-    """Indices of one mini-batch drawn with replacement from ``population`` examples.
+    """Indices of one mini-batch of ``batch_size`` examples drawn with replacement.
 
-    The one draw behind :meth:`Dataset.batches` with replacement and behind
-    every local step of :meth:`repro.core.base.LocalTrainerBase.train_client`:
-    ``min(batch_size, population)`` uniform integers from ``rng``.
+    The paper's local training performs ``L`` iterations with batch size
+    ``B`` drawn from the client's shard; sampling *with replacement* matches
+    the subsampling assumption of the moments accountant (Definition 3).
+    This is each local step's draw in
+    :meth:`repro.core.base.LocalTrainerBase.train_client`, which caps
+    ``batch_size`` at ``population``.
     """
-    return rng.integers(0, population, size=min(batch_size, population))
+    return rng.integers(0, population, size=batch_size)
 
 
 @dataclass
@@ -72,43 +75,6 @@ class Dataset:
         counts = np.bincount(self.labels, minlength=self.num_classes).astype(np.float64)
         total = counts.sum()
         return counts / total if total > 0 else counts
-
-    def batches(
-        self,
-        batch_size: int,
-        rng: Optional[np.random.Generator] = None,
-        num_batches: Optional[int] = None,
-        with_replacement: bool = True,
-    ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-        """Yield ``(features, labels)`` mini-batches.
-
-        The paper's local training performs ``L`` iterations with batch size
-        ``B`` drawn from the client's shard; sampling *with replacement*
-        (default) matches the subsampling assumption of the moments accountant
-        (Definition 3).  When ``with_replacement`` is ``False`` the dataset is
-        shuffled once and traversed sequentially.
-        """
-        if batch_size <= 0:
-            raise ValueError("batch_size must be positive")
-        rng = rng if rng is not None else np.random.default_rng()
-        n = len(self)
-        if n == 0:
-            return
-        if with_replacement:
-            total = num_batches if num_batches is not None else max(1, n // batch_size)
-            for _ in range(total):
-                idx = batch_indices(rng, n, batch_size)
-                yield self.features[idx], self.labels[idx]
-        else:
-            order = rng.permutation(n)
-            limit = num_batches if num_batches is not None else int(np.ceil(n / batch_size))
-            emitted = 0
-            for start in range(0, n, batch_size):
-                if emitted >= limit:
-                    break
-                idx = order[start : start + batch_size]
-                yield self.features[idx], self.labels[idx]
-                emitted += 1
 
     def split(self, fraction: float, rng: Optional[np.random.Generator] = None) -> Tuple["Dataset", "Dataset"]:
         """Randomly split into two datasets with ``fraction`` of examples in the first."""

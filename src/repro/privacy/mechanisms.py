@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 import os
 import queue
-import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
@@ -78,7 +77,7 @@ class LocalStream:
     is refilled with a later block, and a step waits only for what is not
     drawn yet.  The ring holds whole steps: one, or as many as
     ``2 * OFFLOAD_MIN_DRAWS`` normals fill, so that the draws of small steps
-    stay more than a step ahead (see :meth:`_hand_over`).  A smaller stream is
+    stay more than a step ahead (see :meth:`_release_step`).  A smaller stream is
     drawn on the calling thread, each draw when it is reached.  Either way
     ``rng`` is consumed in the same order, so every value is the same.
     Nothing else may use ``rng`` until :meth:`close` (or leaving the
@@ -124,17 +123,10 @@ class LocalStream:
             self._free.put(None)
         self._drawn: "queue.SimpleQueue[Optional[np.ndarray]]" = queue.SimpleQueue()
         self._cancelled = False
-        # small steps hand the GIL over at each step (see _hand_over): draws
-        # not started yet, slots of the step being taken, whether the task
-        # waits for a free slot, and whether this thread waits on
-        # ``_started`` for the task's next draw to start
-        self._hand_over_steps = depth >= 2
-        self._lock = threading.Lock()
-        self._undrawn = self.steps * per_step
+        # a ring of two or more steps frees a step's slots only when the next
+        # step starts (see _release_step); ``_held`` counts the slots kept
+        self._defer_frees = depth >= 2
         self._held = 0
-        self._idle = False
-        self._waiting = False
-        self._started: "queue.SimpleQueue[None]" = queue.SimpleQueue()
         self._task = _noise_executor().submit(self._produce)
 
     # -- the noise thread ----------------------------------------------
@@ -144,35 +136,23 @@ class LocalStream:
             for step in range(self.steps):
                 rows = ring[step % len(ring)]
                 for block, (start, stop) in enumerate(self.row_bounds):
-                    self._idle = True
                     free.get()
-                    self._idle = False
                     if self._cancelled:
                         return
                     if block == 0 and self._draw_indices is not None:
                         drawn.put(self._draw_indices(rng))
-                    self._starting()
                     # only the GIL-free fill: scaling too would release the GIL once more
                     drawn.put(rng.standard_normal(out=rows[start:stop]))
         except BaseException:
             drawn.put(None)  # wakes the consumer, which raises this error
             raise
-        finally:
-            self._starting(last=True)  # no draw is left to wait for
-
-    def _starting(self, last: bool = False) -> None:
-        with self._lock:
-            self._undrawn = 0 if last else self._undrawn - 1
-            if self._waiting:
-                self._waiting = False
-                self._started.put(None)
 
     # -- the calling thread --------------------------------------------
     def __iter__(self) -> Iterator[Tuple[Optional[np.ndarray], Optional[StepNoise]]]:
         streamed = self._task is not None
         for _ in range(self.steps):
-            if streamed and self._hand_over_steps:
-                self._hand_over()
+            if streamed and self._defer_frees:
+                self._release_step()
             indices = None
             if self._draw_indices is not None:
                 indices = self._next() if streamed else self._draw_indices(self._rng)
@@ -182,27 +162,17 @@ class LocalStream:
                 blocks = self._streamed_blocks() if streamed else self._inline_blocks()
                 yield indices, StepNoise(self.mechanism, blocks)
 
-    def _hand_over(self) -> None:
-        """Free the last step's slots; if the task waits for one, let it start.
+    def _release_step(self) -> None:
+        """Free the last step's slots, now that the next step starts.
 
         A small step's replay holds the GIL nearly throughout.  A task woken
         in its middle by a freed slot would take the GIL at the replay's
-        next release, and then again after its GIL-free index draw, and
-        each time this thread sleeps until it is handed back.  So a small
-        step's slots are freed only here, between steps, and if the task
-        is waiting for one, this thread blocks until the task has drawn
-        the next indices and entered its next GIL-free noise draw.  With
-        the ring more than a step ahead, that costs two thread wake-ups per
-        step and the task takes the GIL mid-step once, when its draw ends.
+        next release and this thread would sleep until it is handed back,
+        so a small step's slots are freed only here, between steps.
         """
-        with self._lock:
-            for _ in range(self._held):
-                self._free.put(None)
-            self._held = len(self.row_bounds)
-            if not (self._undrawn and self._idle):
-                return  # no draw left, or one is running
-            self._waiting = True
-        self._started.get()
+        for _ in range(self._held):
+            self._free.put(None)
+        self._held = len(self.row_bounds)
 
     def _next(self) -> np.ndarray:
         item = self._drawn.get()
@@ -215,7 +185,7 @@ class LocalStream:
             block = self._next()
             block *= self.mechanism.stddev  # completes fill_noise
             yield block
-            if not self._hand_over_steps:
+            if not self._defer_frees:
                 self._free.put(None)  # the block is used up: its slot may be refilled
 
     def _inline_blocks(self) -> Iterator[np.ndarray]:

@@ -18,6 +18,7 @@ import signal
 import subprocess
 import sys
 import textwrap
+import threading
 import time
 from pathlib import Path
 
@@ -96,6 +97,37 @@ def test_stream_offloads_only_large_clients():
             np.testing.assert_array_equal(indices, reference.integers(0, 10, size=3))
             np.testing.assert_array_equal(noise, reference.normal(0.0, 1.0, size=(batch, width)))
         assert rng.bit_generator.state == reference.bit_generator.state
+
+
+def test_stream_first_taken_after_its_ring_fills(monkeypatch):
+    """A caller that waits before its first step finds the ring full and
+    the task waiting for a slot; the stream must still run to the end."""
+    steps, batch, width = 6, 3, 1000
+    monkeypatch.setattr(mechanisms, "OFFLOAD_MIN_DRAWS", 2 * batch * width)  # a ring of 4 steps
+    mechanism = GaussianMechanism(noise_scale=1.0, sensitivity=1.0)
+    rng = np.random.default_rng(0)
+    drawn, streams = [], []
+
+    def consume():
+        with LocalStream(mechanism, rng, steps, batch, width, _draw_indices) as stream:
+            streams.append(stream)
+            assert stream._ring.shape == (4, batch, width)
+            time.sleep(0.05)
+            for indices, noise in stream:
+                drawn.append((indices, np.concatenate([block.copy() for block in noise.blocks])))
+
+    consumer = threading.Thread(target=consume, daemon=True)
+    consumer.start()
+    consumer.join(timeout=30)
+    if consumer.is_alive():
+        streams[0]._stop()  # free the noise thread for the tests that follow
+        pytest.fail("the stream stalled")
+    assert len(drawn) == steps
+    reference = np.random.default_rng(0)
+    for indices, noise in drawn:
+        np.testing.assert_array_equal(indices, reference.integers(0, 10, size=3))
+        np.testing.assert_array_equal(noise, reference.normal(0.0, 1.0, size=(batch, width)))
+    assert rng.bit_generator.state == reference.bit_generator.state
 
 
 def test_add_noise_to_stack_rejects_mismatched_noise_block():

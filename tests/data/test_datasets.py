@@ -14,6 +14,7 @@ from repro.data import (
     get_dataset_spec,
     list_datasets,
 )
+from repro.data.dataset import batch_indices
 
 
 def test_registry_contains_the_five_benchmarks():
@@ -70,24 +71,11 @@ def test_dataset_subset_and_class_distribution():
     np.testing.assert_array_equal(data.classes_present(), [0, 1, 2])
 
 
-def test_dataset_batches_with_replacement(rng):
-    data = Dataset(rng.normal(size=(20, 3)), rng.integers(0, 2, size=20), num_classes=2)
-    batches = list(data.batches(batch_size=5, rng=rng, num_batches=7))
-    assert len(batches) == 7
-    assert all(x.shape == (5, 3) and y.shape == (5,) for x, y in batches)
-
-
-def test_dataset_batches_without_replacement_cover_all(rng):
-    data = Dataset(np.arange(10).reshape(10, 1), np.arange(10) % 2, num_classes=2)
-    batches = list(data.batches(batch_size=3, rng=rng, with_replacement=False))
-    seen = np.sort(np.concatenate([x.reshape(-1) for x, _ in batches]))
-    np.testing.assert_array_equal(seen, np.arange(10))
-
-
-def test_dataset_batches_validation(rng):
-    data = Dataset(np.zeros((4, 2)), np.zeros(4), num_classes=2)
-    with pytest.raises(ValueError):
-        list(data.batches(batch_size=0))
+def test_batch_indices_with_replacement(rng):
+    batches = [batch_indices(rng, 20, 5) for _ in range(7)]
+    assert all(idx.shape == (5,) and idx.min() >= 0 and idx.max() < 20 for idx in batches)
+    # with replacement: a batch as large as the population repeats an index
+    assert any(len(np.unique(batch_indices(rng, 6, 6))) < 6 for _ in range(20))
 
 
 def test_dataset_split(rng):

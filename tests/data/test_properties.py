@@ -14,6 +14,7 @@ from repro.data import (
     partition_by_class_shards,
     quantity_skew_partition_indices,
 )
+from repro.data.dataset import batch_indices
 
 
 @settings(max_examples=25, deadline=None)
@@ -68,13 +69,11 @@ def test_shard_partition_invariants(num_clients, data_per_client, classes_per_cl
 )
 def test_batch_sampling_invariants(n, batch_size, num_batches, seed):
     rng = np.random.default_rng(seed)
-    data = Dataset(np.arange(n, dtype=float).reshape(n, 1), np.arange(n) % 3, num_classes=3)
-    batches = list(data.batches(batch_size, rng=rng, num_batches=num_batches, with_replacement=True))
-    assert len(batches) == num_batches
-    for features, labels in batches:
-        assert features.shape[0] == labels.shape[0] == min(batch_size, n)
-        # batch content always comes from the dataset
-        assert set(features.reshape(-1).tolist()) <= set(range(n))
+    for _ in range(num_batches):
+        indices = batch_indices(rng, n, min(batch_size, n))
+        assert indices.shape == (min(batch_size, n),)
+        # every index names one of the population's examples
+        assert set(indices.tolist()) <= set(range(n))
 
 
 # ----------------------------------------------------------------------
