@@ -132,6 +132,18 @@ def golden_configs() -> Dict[str, FederatedConfig]:
     configs["fed_cdp_iid_secure_dropout"] = quick_config(
         "cancer", "fed_cdp", partition="iid", secure_aggregation=True, dropout_rate=0.5, **base
     )
+    # shard-derivation cells: the default ``shards`` partition on a dataset
+    # with class-skewed shards (``ClassShardPlan``), with label-flipping
+    # clients so the byzantine shard transform is locked too, and Cancer's
+    # default full-copy partition
+    configs["fed_cdp_adult_shards_label_flip"] = quick_config(
+        "adult",
+        "fed_cdp",
+        byzantine_clients=(0, 1),
+        byzantine_mode="label_flip",
+        **base,
+    )
+    configs["fed_cdp_full_copy"] = quick_config("cancer", "fed_cdp", **base)
     return configs
 
 
@@ -322,6 +334,17 @@ def test_byzantine_fixture_genuinely_perturbs_training():
         corrupt["mean_loss"] != honest["mean_loss"]
         for corrupt, honest in zip(byzantine["rounds"][1:], benign["rounds"][1:])
     )
+
+
+def test_label_flip_fixture_trains_flipped_shards():
+    """A label-flipping client takes part in the shards cell, so its fixture
+    locks the byzantine shard transform along with the shard derivation."""
+    with open(os.path.join(GOLDEN_DIR, "fed_cdp_adult_shards_label_flip.json")) as handle:
+        payload = json.load(handle)
+    assert payload["config"]["partition"] == "shards"
+    assert payload["config"]["byzantine_mode"] == "label_flip"
+    flipped = set(payload["config"]["byzantine_clients"])
+    assert any(flipped & set(r["participating_clients"]) for r in payload["rounds"])
 
 
 @pytest.mark.parametrize(
