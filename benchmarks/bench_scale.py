@@ -3,7 +3,7 @@
 Runs the same short Poisson-sampled federated workload at ``K`` = 100, 10k
 and 1M clients with a roughly constant ~10-client expected cohort
 (``participation_fraction = 10 / K``), so the three cells differ *only* in
-population size.  Under the lazy client-state architecture
+population size.  Since every client and its shard are derived on demand
 (docs/cross_device_scale.md) per-round cost is O(cohort): rounds/sec should
 stay in the same decade across four orders of magnitude of ``K``, and peak
 RSS should stay laptop-sized even at a million clients.
@@ -68,7 +68,6 @@ def run_cell(num_clients: int, rounds: int, seed: int) -> dict:
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     return {
         "num_clients": num_clients,
-        "client_state": config.resolved_client_state,
         "rounds": rounds,
         "elapsed_sec": elapsed,
         "rounds_per_sec": rounds / elapsed,
@@ -111,8 +110,7 @@ def main() -> int:
         results.append(row)
         print(
             f"[bench_scale] K={num_clients:>9,}: {row['rounds_per_sec']:.2f} rounds/sec, "
-            f"peak RSS {row['peak_rss_mb']:.0f} MB, mean cohort {row['mean_cohort']:.1f} "
-            f"({row['client_state']})"
+            f"peak RSS {row['peak_rss_mb']:.0f} MB, mean cohort {row['mean_cohort']:.1f}"
         )
 
     payload = {

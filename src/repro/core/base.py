@@ -37,7 +37,6 @@ from repro.data.dataset import batch_indices
 from repro.federated.config import FederatedConfig
 from repro.nn import CrossEntropyLoss, Sequential
 from repro.nn.perexample import per_example_gradients, per_example_gradients_looped
-from repro.privacy.accountant import MomentsAccountant
 from repro.privacy.clipping import global_l2_norm
 from repro.privacy.ledger import RoundCharge
 from repro.privacy.mechanisms import GaussianMechanism, LocalStream, StepNoise
@@ -253,28 +252,6 @@ class LocalTrainerBase:
         """
         del round_index
         return None
-
-    def accumulate_privacy(self, accountant: MomentsAccountant, round_index: int) -> None:
-        """Record one round's spending on a standalone moments accountant.
-
-        Convenience wrapper over :meth:`round_privacy_charge` using the
-        config's equal-shard rates — the paper's accounting model.  The
-        simulation itself goes through ``accountant.charge_round`` so that
-        participant-aware accountants see the realised cohort.
-        """
-        charge = self.round_privacy_charge(round_index)
-        if charge is None:
-            return
-        rate = (
-            self.config.instance_sampling_rate
-            if charge.level == "instance"
-            else self.config.client_sampling_rate
-        )
-        accountant.accumulate(
-            sampling_rate=rate,
-            noise_multiplier=charge.noise_multiplier,
-            steps=charge.steps,
-        )
 
     def supports_instance_level_privacy(self) -> bool:
         """Whether the method provides a per-example (instance-level) DP guarantee."""

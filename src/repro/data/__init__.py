@@ -6,12 +6,6 @@ from .partition import (
     ClassShardPlan,
     dirichlet_partition_indices,
     iid_partition_indices,
-    partition_by_class_shards,
-    partition_dataset,
-    partition_dirichlet,
-    partition_full_copy,
-    partition_iid,
-    partition_quantity_skew,
     quantity_skew_partition_indices,
 )
 from .population import LazyClientPopulation
@@ -35,12 +29,6 @@ __all__ = [
     "generate_image_dataset",
     "generate_tabular_dataset",
     "generate_train_val",
-    "partition_dataset",
-    "partition_by_class_shards",
-    "partition_full_copy",
-    "partition_iid",
-    "partition_dirichlet",
-    "partition_quantity_skew",
     "iid_partition_indices",
     "dirichlet_partition_indices",
     "quantity_skew_partition_indices",

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -76,11 +76,10 @@ class Dataset:
         total = counts.sum()
         return counts / total if total > 0 else counts
 
-    def split(self, fraction: float, rng: Optional[np.random.Generator] = None) -> Tuple["Dataset", "Dataset"]:
+    def split(self, fraction: float, rng: np.random.Generator) -> Tuple["Dataset", "Dataset"]:
         """Randomly split into two datasets with ``fraction`` of examples in the first."""
         if not 0.0 < fraction < 1.0:
             raise ValueError("fraction must be strictly between 0 and 1")
-        rng = rng if rng is not None else np.random.default_rng()
         order = rng.permutation(len(self))
         cut = int(round(fraction * len(self)))
         return self.subset(order[:cut]), self.subset(order[cut:])

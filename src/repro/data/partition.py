@@ -5,12 +5,14 @@ Section VII of the paper partitions every benchmark into class-skewed shards:
 shards with 500 samples from two classes" (MNIST), 400 from two classes
 (CIFAR-10), 300 from ~15 classes (LFW), 300 from two classes (Adult), and for
 the tiny Cancer dataset "each client has a full copy of the dataset".
-:func:`partition_dataset` reproduces that scheme for an arbitrary number of
-clients over the synthetic datasets.
+:class:`ClassShardPlan` reproduces that scheme for an arbitrary number of
+clients over the synthetic datasets, deriving each client's shard from its id
+alone; :class:`repro.data.population.LazyClientPopulation` builds every run's
+shards from it.
 
 Beyond the paper's fixed scheme, the scenario engine adds three heterogeneity
 strategies (selected by ``FederatedConfig.partition``, see
-``docs/scenarios.md``), all of which assign every example to exactly one
+``docs/scenarios.md``), whose index cores assign every example to exactly one
 client (disjoint indices, full coverage, no client empty):
 
 * ``"iid"`` — a uniform random equal split, the benign baseline;
@@ -26,23 +28,16 @@ client (disjoint indices, full coverage, no client empty):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from repro.rng import domain_seed_sequence
 
 from .dataset import Dataset
-from .registry import DatasetSpec
 
 __all__ = [
     "ClassShardPlan",
-    "partition_by_class_shards",
-    "partition_full_copy",
-    "partition_dataset",
-    "partition_iid",
-    "partition_dirichlet",
-    "partition_quantity_skew",
     "iid_partition_indices",
     "dirichlet_partition_indices",
     "quantity_skew_partition_indices",
@@ -50,7 +45,8 @@ __all__ = [
 ]
 
 
-#: Partition strategies understood by :func:`partition_dataset` (and by
+#: Partition strategies understood by
+#: :class:`repro.data.population.LazyClientPopulation` (and by
 #: ``FederatedConfig.partition``).  ``"shards"`` is the paper's Table-I scheme.
 PARTITION_STRATEGIES: Tuple[str, ...] = ("shards", "iid", "dirichlet", "quantity_skew")
 
@@ -123,8 +119,7 @@ class ClassShardPlan:
 
         Clients cycle through the run-level class permutation at stride
         ``classes_per_client``, so over any window of consecutive client ids
-        every class is covered as evenly as possible — the same balancing the
-        eager scheme achieved with a shared cursor, but derivable from the
+        every class is covered as evenly as possible, derivable from the
         client id alone.
         """
         if client_id < 0:
@@ -161,55 +156,16 @@ class ClassShardPlan:
 def draw_partition_seed(rng: np.random.Generator) -> int:
     """The single main-RNG draw the shards strategy consumes per run.
 
-    Both the eager :func:`partition_by_class_shards` and the lazy
-    :class:`repro.data.population.LazyClientPopulation` consume exactly this
-    one draw, which is what keeps the two paths bit-identical: the same main
-    RNG state yields the same ``partition_seed``, and everything downstream
-    is keyed on that seed through :mod:`repro.rng` domains.
+    :class:`repro.data.population.LazyClientPopulation` consumes exactly
+    this one draw: the same main RNG state yields the same
+    ``partition_seed``, and everything downstream is keyed on that seed
+    through :mod:`repro.rng` domains.
     """
     return int(rng.integers(0, 2**63))
 
 
-def partition_by_class_shards(
-    dataset: Dataset,
-    num_clients: int,
-    data_per_client: int,
-    classes_per_client: int,
-    rng: Optional[np.random.Generator] = None,
-) -> List[Dataset]:
-    """Give each client ``data_per_client`` examples drawn from a few classes.
-
-    Each client is assigned ``classes_per_client`` classes (cycling through a
-    random permutation so that all classes are covered as evenly as possible)
-    and then samples its examples from those classes.  Sampling is with
-    replacement when a class has fewer examples than requested, which lets the
-    scaled-down synthetic datasets serve arbitrarily many simulated clients
-    while preserving the non-IID label skew that the paper's setup creates.
-
-    Client ``k``'s shard is derived from ``(partition_seed, k)`` alone via
-    :class:`ClassShardPlan` — materialising all ``num_clients`` shards here is
-    a convenience for paper-scale populations; cross-device runs use
-    :class:`repro.data.population.LazyClientPopulation`, which shares the
-    derivation and therefore produces identical shards.
-    """
-    if num_clients <= 0:
-        raise ValueError("num_clients must be positive")
-    rng = rng if rng is not None else np.random.default_rng()
-    plan = ClassShardPlan.from_dataset(
-        dataset, data_per_client, classes_per_client, draw_partition_seed(rng)
-    )
-    return [dataset.subset(plan.indices_for(k)) for k in range(num_clients)]
-
-
-def partition_full_copy(dataset: Dataset, num_clients: int) -> List[Dataset]:
-    """Every client receives the full dataset (the paper's Cancer setup)."""
-    if num_clients <= 0:
-        raise ValueError("num_clients must be positive")
-    return [dataset.subset(np.arange(len(dataset))) for _ in range(num_clients)]
-
-
 # ----------------------------------------------------------------------
-# Heterogeneity strategies (index-level cores + Dataset wrappers)
+# Heterogeneity strategies (index-level cores)
 # ----------------------------------------------------------------------
 def _validate_population(num_examples: int, num_clients: int) -> None:
     if num_clients <= 0:
@@ -243,11 +199,10 @@ def _rebalance_empty_clients(
 
 
 def iid_partition_indices(
-    num_examples: int, num_clients: int, rng: Optional[np.random.Generator] = None
+    num_examples: int, num_clients: int, rng: np.random.Generator
 ) -> List[np.ndarray]:
     """Disjoint uniform random split into ``num_clients`` near-equal parts."""
     _validate_population(num_examples, num_clients)
-    rng = rng if rng is not None else np.random.default_rng()
     order = rng.permutation(num_examples)
     return [np.sort(part).astype(np.int64) for part in np.array_split(order, num_clients)]
 
@@ -256,7 +211,7 @@ def dirichlet_partition_indices(
     labels: np.ndarray,
     num_clients: int,
     alpha: float,
-    rng: Optional[np.random.Generator] = None,
+    rng: np.random.Generator,
     min_per_client: int = 1,
 ) -> List[np.ndarray]:
     """Dirichlet label-skew split of ``labels`` into disjoint index sets.
@@ -274,7 +229,6 @@ def dirichlet_partition_indices(
         raise ValueError("alpha must be positive")
     if min_per_client < 1:
         raise ValueError("min_per_client must be at least 1")
-    rng = rng if rng is not None else np.random.default_rng()
 
     client_indices: List[List[int]] = [[] for _ in range(num_clients)]
     for cls in np.unique(labels):
@@ -293,7 +247,7 @@ def quantity_skew_partition_indices(
     num_examples: int,
     num_clients: int,
     exponent: float,
-    rng: Optional[np.random.Generator] = None,
+    rng: np.random.Generator,
     min_per_client: int = 1,
 ) -> List[np.ndarray]:
     """Power-law quantity-skew split into disjoint, label-IID index sets.
@@ -311,7 +265,6 @@ def quantity_skew_partition_indices(
         raise ValueError("min_per_client must be at least 1")
     if min_per_client * num_clients > num_examples:
         raise ValueError("not enough examples for the requested min_per_client")
-    rng = rng if rng is not None else np.random.default_rng()
 
     weights = np.arange(1, num_clients + 1, dtype=np.float64) ** -float(exponent)
     rng.shuffle(weights)
@@ -333,86 +286,3 @@ def quantity_skew_partition_indices(
     order = rng.permutation(num_examples)
     cuts = np.cumsum(sizes)[:-1]
     return [np.sort(part).astype(np.int64) for part in np.split(order, cuts)]
-
-
-def partition_iid(
-    dataset: Dataset, num_clients: int, rng: Optional[np.random.Generator] = None
-) -> List[Dataset]:
-    """Uniform random equal split (the benign IID baseline)."""
-    return [
-        dataset.subset(part)
-        for part in iid_partition_indices(len(dataset), num_clients, rng=rng)
-    ]
-
-
-def partition_dirichlet(
-    dataset: Dataset,
-    num_clients: int,
-    alpha: float,
-    rng: Optional[np.random.Generator] = None,
-    min_per_client: int = 1,
-) -> List[Dataset]:
-    """Dirichlet label-skew partition (see :func:`dirichlet_partition_indices`)."""
-    return [
-        dataset.subset(part)
-        for part in dirichlet_partition_indices(
-            dataset.labels, num_clients, alpha, rng=rng, min_per_client=min_per_client
-        )
-    ]
-
-
-def partition_quantity_skew(
-    dataset: Dataset,
-    num_clients: int,
-    exponent: float,
-    rng: Optional[np.random.Generator] = None,
-    min_per_client: int = 1,
-) -> List[Dataset]:
-    """Power-law quantity-skew partition (see :func:`quantity_skew_partition_indices`)."""
-    return [
-        dataset.subset(part)
-        for part in quantity_skew_partition_indices(
-            len(dataset), num_clients, exponent, rng=rng, min_per_client=min_per_client
-        )
-    ]
-
-
-def partition_dataset(
-    dataset: Dataset,
-    spec: DatasetSpec,
-    num_clients: int,
-    rng: Optional[np.random.Generator] = None,
-    data_per_client: Optional[int] = None,
-    strategy: str = "shards",
-    dirichlet_alpha: float = 0.5,
-    quantity_skew_exponent: float = 1.5,
-) -> List[Dataset]:
-    """Partition ``dataset`` across clients following the selected strategy.
-
-    ``strategy`` is one of :data:`PARTITION_STRATEGIES`.  The default
-    ``"shards"`` reproduces the paper's Table-I scheme (class-skewed shards of
-    ``data_per_client`` examples, or a full copy per client for the Cancer
-    dataset); the other strategies are the scenario engine's disjoint
-    heterogeneity splits and ignore ``data_per_client`` — they divide the
-    *whole* dataset across the clients.
-    """
-    if strategy not in PARTITION_STRATEGIES:
-        raise ValueError(
-            f"unknown partition strategy {strategy!r}; expected one of {PARTITION_STRATEGIES}"
-        )
-    if strategy == "iid":
-        return partition_iid(dataset, num_clients, rng=rng)
-    if strategy == "dirichlet":
-        return partition_dirichlet(dataset, num_clients, dirichlet_alpha, rng=rng)
-    if strategy == "quantity_skew":
-        return partition_quantity_skew(dataset, num_clients, quantity_skew_exponent, rng=rng)
-    volume = data_per_client if data_per_client is not None else spec.data_per_client
-    if spec.full_copy_per_client:
-        return partition_full_copy(dataset, num_clients)
-    return partition_by_class_shards(
-        dataset,
-        num_clients,
-        data_per_client=volume,
-        classes_per_client=spec.classes_per_client,
-        rng=rng,
-    )

@@ -1,19 +1,9 @@
-"""On-demand client-state construction for cross-device-scale populations.
+"""On-demand client-state construction for every client population.
 
-The eager path (:func:`repro.data.partition.partition_dataset`) materialises
-every client's shard up front — fine at the paper's ``K = 50..100``, fatal at
-the cross-device scales (100k–1M clients) the Fed-CDP threat model is
-motivated by.  :class:`LazyClientPopulation` is the lazy counterpart: it
-derives any client's index set on demand, so a round that samples a ``q = 1%``
-Poisson cohort only ever pays for the cohort.
-
-Equivalence guarantee (property-tested in ``tests/data/test_population.py``):
-for every strategy and every client ``k``,
-
-    ``LazyClientPopulation(...)[k] == partition_dataset(...)[k]``
-
-bit for bit, provided both consume the same main-RNG state.  The two paths
-share their derivation code, so this holds by construction:
+:class:`LazyClientPopulation` derives any client's index set on demand, so a
+round that samples a ``q = 1%`` Poisson cohort only ever pays for the cohort,
+at the paper's ``K = 50..100`` and at cross-device scales (100k–1M clients)
+alike.  It is the only way a run builds client shards:
 
 * ``"shards"`` — one ``partition_seed`` is drawn from the main RNG (the
   strategy's *only* main-RNG consumption); client ``k``'s indices then come
@@ -22,14 +12,14 @@ share their derivation code, so this holds by construction:
   is never stored: memory is O(num_examples), independent of ``K``.
 * ``"iid"`` / ``"dirichlet"`` / ``"quantity_skew"`` — the disjoint strategies
   split the *whole* dataset, so the index partition is computed once at
-  construction with exactly the eager functions (identical main-RNG
-  consumption) and only the index arrays (O(num_examples) total, not
-  O(K · shard)) are kept; feature/label arrays are sliced per access.
+  construction with the ``*_partition_indices`` cores and only the index
+  arrays (O(num_examples) total, not O(K · shard)) are kept; feature/label
+  arrays are sliced per access.
 * full-copy datasets (Cancer) — every client views the whole dataset; no
   main-RNG consumption, O(1) state.
 
 See ``docs/cross_device_scale.md`` for the memory envelope and the simulation
-wiring (``FederatedConfig.client_state``).
+wiring (:class:`repro.federated.client.LazyClientRoster`).
 """
 
 from __future__ import annotations
@@ -57,10 +47,9 @@ class LazyClientPopulation(Sequence):
 
     Behaves as a read-only sequence of :class:`~repro.data.dataset.Dataset`
     shards: ``population[k]`` builds client ``k``'s shard when asked and
-    ``len(population)`` is the population size ``K``.  Construction mirrors
-    :func:`repro.data.partition.partition_dataset` argument for argument —
-    including main-RNG consumption — so the eager and lazy paths are
-    interchangeable at every scale.
+    ``len(population)`` is the population size ``K``.  Construction draws
+    from ``rng`` exactly once per strategy as described in the module
+    docstring, so the same main-RNG state always yields the same shards.
     """
 
     def __init__(
@@ -68,7 +57,7 @@ class LazyClientPopulation(Sequence):
         dataset: Dataset,
         spec: DatasetSpec,
         num_clients: int,
-        rng: Optional[np.random.Generator] = None,
+        rng: np.random.Generator,
         data_per_client: Optional[int] = None,
         strategy: str = "shards",
         dirichlet_alpha: float = 0.5,
@@ -80,7 +69,6 @@ class LazyClientPopulation(Sequence):
             )
         if num_clients <= 0:
             raise ValueError("num_clients must be positive")
-        rng = rng if rng is not None else np.random.default_rng()
         self.dataset = dataset
         self.num_clients = int(num_clients)
         self.strategy = strategy
@@ -132,10 +120,6 @@ class LazyClientPopulation(Sequence):
     def __getitem__(self, client_id):
         if isinstance(client_id, slice):
             return [self[k] for k in range(*client_id.indices(self.num_clients))]
-        client_id = self._check_client(client_id)
-        if self._full_copy:
-            # match partition_full_copy: a full fancy-indexed copy per client
-            return self.dataset.subset(np.arange(len(self.dataset)))
         return self.dataset.subset(self.indices_for(client_id))
 
     # ------------------------------------------------------------------
@@ -154,8 +138,3 @@ class LazyClientPopulation(Sequence):
             return sizes
         size = len(self.dataset) if self._full_copy else self._plan.data_per_client
         return np.broadcast_to(np.int64(size), (self.num_clients,))
-
-    def materialize(self) -> List[Dataset]:
-        """All shards as a list — the eager representation, built client by
-        client from the same derivation (so ``materialize()[k] == self[k]``)."""
-        return [self[k] for k in range(self.num_clients)]

@@ -47,8 +47,8 @@ training streams.  The temporal dynamics are keyed on the client's
 coordinate alone (churn windows, device classes, cycle phases, drift
 permutations are per-client constants) or on ``(round, client)`` (cycle
 coin flips), so nothing depends on cohort composition, backend scheduling
-or how many rounds ran before: eager ≡ lazy ≡ serial ≡ multiprocessing ≡
-resumed stays bit-identical with every dynamic enabled.
+or how many rounds ran before: serial ≡ multiprocessing ≡ resumed stays
+bit-identical with every dynamic enabled.
 """
 
 from __future__ import annotations
@@ -216,8 +216,8 @@ class DriftModel:
     wrong label) at every later round.  Round 0 is always undrifted.
 
     The transform is a pure function of ``(seed, client_id, round_index,
-    shard)`` — applied identically by the eager client list, the lazy
-    roster and the multiprocessing workers — so drift
+    shard)`` — applied identically by every client the roster builds, in the
+    simulation and in the multiprocessing workers — so drift
     preserves every bit-identical backend/resume guarantee.
     """
 

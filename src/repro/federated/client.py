@@ -1,11 +1,12 @@
 """Client abstraction for the federated simulation.
 
 A :class:`FederatedClient` owns a private data shard and delegates the actual
-local computation to a local trainer from :mod:`repro.core`.  With the serial
-execution backend every client shares the simulation's single trainer (the
-broadcast global weights are reloaded before each use); the multiprocessing
-backend gives each worker process its own trainer copy, which is equivalent
-for the same reason.  The separation mirrors the paper's publish-subscribe
+local computation to a local trainer from :mod:`repro.core`.  Clients are
+built on demand by a :class:`LazyClientRoster`.  In the simulation process
+every client shares the simulation's single trainer (the broadcast global
+weights are reloaded before each use); each multiprocessing worker builds
+its own roster around its own trainer copy, which is equivalent for the same
+reason.  The separation mirrors the paper's publish-subscribe
 reference model: the client downloads the global weights, trains locally for
 ``L`` iterations, and shares only the resulting parameter update — each round
 with its own :class:`numpy.random.SeedSequence`-derived RNG stream (see
@@ -19,6 +20,10 @@ from typing import Sequence
 import numpy as np
 
 from repro.data.dataset import Dataset
+from repro.data.population import LazyClientPopulation
+
+from .availability import DriftModel
+from .byzantine import ByzantineBehaviour
 
 __all__ = ["FederatedClient", "LazyClientRoster"]
 
@@ -65,27 +70,56 @@ class FederatedClient:
 
 
 class LazyClientRoster(Sequence):
-    """On-demand :class:`FederatedClient` view over a lazy population.
+    """On-demand :class:`FederatedClient` view over a client population.
 
-    Cross-device simulations never materialise all ``K`` clients: this roster
-    stands in for the eager client list and constructs a client (and its
-    shard, via :class:`repro.data.population.LazyClientPopulation`) only when
-    it is indexed — which the simulation does exactly for the round's sampled
-    cohort.  Every access builds a fresh, identical object from the same
-    deterministic derivation, so holding no cache costs only the cohort-sized
-    per-round construction and keeps memory flat over any horizon.
+    Every run gets its clients from one roster, built by :meth:`from_config`
+    in the simulation and in each multiprocessing worker alike.  A client
+    (and its shard, via :class:`repro.data.population.LazyClientPopulation`)
+    is constructed only when it is indexed — which the simulation does
+    exactly for the round's sampled cohort.  Every access builds a fresh,
+    identical object from the same deterministic derivation, so holding no
+    cache costs only the cohort-sized per-round construction and keeps
+    memory flat over any horizon.
 
-    ``shard_transform`` — called as ``transform(client_id, shard)`` on every
-    derived shard — lets byzantine data poisoning (label flipping) apply at
-    construction time, exactly where the eager client list applies it, so
-    lazy and eager byzantine runs stay bit-identical.
+    ``byzantine`` — a :class:`~repro.federated.byzantine.ByzantineBehaviour`
+    — poisons the designated clients' shards (label flipping) as they are
+    built; ``drift`` is handed to every client, which applies it per round.
     """
 
-    def __init__(self, population, trainer, shard_transform=None, drift=None) -> None:
+    def __init__(self, population, trainer, byzantine=None, drift=None) -> None:
         self.population = population
         self.trainer = trainer
-        self.shard_transform = shard_transform
+        self.byzantine = byzantine
         self.drift = drift
+
+    @classmethod
+    def from_config(
+        cls, config, train_dataset: Dataset, trainer, rng: np.random.Generator
+    ) -> "LazyClientRoster":
+        """The roster ``config`` declares over ``train_dataset``.
+
+        The population must be the first consumer of ``rng``, a fresh
+        ``default_rng(config.seed)``: the ``shards`` strategy draws its
+        partition seed from it (the disjoint strategies their whole split),
+        so every process that builds the roster this way derives the same
+        shards.
+        """
+        population = LazyClientPopulation(
+            train_dataset,
+            config.spec,
+            config.num_clients,
+            rng=rng,
+            data_per_client=config.effective_data_per_client,
+            strategy=config.partition,
+            dirichlet_alpha=config.dirichlet_alpha,
+            quantity_skew_exponent=config.quantity_skew_exponent,
+        )
+        return cls(
+            population,
+            trainer,
+            byzantine=ByzantineBehaviour.from_config(config),
+            drift=DriftModel.from_config(config),
+        )
 
     def __len__(self) -> int:
         return len(self.population)
@@ -95,6 +129,6 @@ class LazyClientRoster(Sequence):
         if index < 0:
             index += len(self)
         shard = self.population[index]
-        if self.shard_transform is not None:
-            shard = self.shard_transform(index, shard)
+        if self.byzantine is not None:
+            shard = self.byzantine.transform_shard(index, shard)
         return FederatedClient(index, shard, self.trainer, drift=self.drift)

@@ -34,8 +34,6 @@ __all__ = [
     "PRIVATE_METHODS",
     "EXECUTORS",
     "CLIENT_SAMPLING_SCHEMES",
-    "CLIENT_STATE_MODES",
-    "LAZY_CLIENT_STATE_THRESHOLD",
     "ACCOUNTANT_NAMES",
     "ATTACK_KINDS",
     "BYZANTINE_MODES",
@@ -59,17 +57,6 @@ EXECUTORS: Tuple[str, ...] = ("serial", "multiprocessing")
 #: Per-round client-selection schemes understood by the server.
 CLIENT_SAMPLING_SCHEMES: Tuple[str, ...] = ("fixed", "poisson")
 
-#: Client-state construction modes (see docs/cross_device_scale.md).
-#: ``eager`` materialises every client's shard up front (the historical
-#: behaviour); ``lazy`` derives only the sampled cohort's shards per round
-#: through :class:`repro.data.population.LazyClientPopulation`; ``auto``
-#: picks ``lazy`` at cross-device populations and ``eager`` below.  The two
-#: modes are bit-identical — the choice is purely a memory/time trade.
-CLIENT_STATE_MODES: Tuple[str, ...] = ("auto", "eager", "lazy")
-
-#: Population size at which ``client_state="auto"`` switches to ``lazy``.
-LAZY_CLIENT_STATE_THRESHOLD = 10_000
-
 #: In-loop adversary kinds understood by :class:`repro.attacks.schedule.AttackSchedule`:
 #: ``leakage`` runs the fixed-budget gradient-reconstruction attack,
 #: ``adaptive`` the variant that tunes its restart/iteration budget from the
@@ -83,7 +70,7 @@ _EVERY_K_PATTERN = re.compile(r"^every_([1-9]\d*)$")
 
 #: Config fields a resumed checkpoint may change: the execution backend and
 #: an extending horizon.  Every other field is pinned by the checkpoint.
-RESUME_MUTABLE_FIELDS: Tuple[str, ...] = ("rounds", "executor", "num_workers", "client_state", "worker_chunk_size")
+RESUME_MUTABLE_FIELDS: Tuple[str, ...] = ("rounds", "executor", "num_workers", "worker_chunk_size")
 
 #: Fields every serialised config carries (the checkpoint format as it first
 #: stabilised).  Every other field is written only when it differs from its
@@ -363,16 +350,6 @@ class FederatedConfig:
     num_workers: Optional[int] = _field(
         None, flag="--workers", help="worker-pool size for --executor multiprocessing"
     )
-    #: client-state construction mode, one of :data:`CLIENT_STATE_MODES`
-    #: (``auto`` = lazy at populations of :data:`LAZY_CLIENT_STATE_THRESHOLD`
-    #: clients or more, eager below; bit-identical either way)
-    client_state: str = _field(
-        "auto",
-        choices=CLIENT_STATE_MODES,
-        help="client materialisation: 'eager' builds all K shards up front, 'lazy' "
-        "derives only each round's cohort on demand; 'auto' (default) picks lazy "
-        "from 10k clients (numerics are identical — see docs/cross_device_scale.md)",
-    )
     #: clients per multiprocessing dispatch chunk (``None`` = split the
     #: cohort evenly, one chunk per worker); the global weights are
     #: serialised once per chunk
@@ -562,13 +539,6 @@ class FederatedConfig:
         """Client-level sampling rate ``q2 = Kt / K`` used by Fed-SDP accounting."""
         return self.clients_per_round / self.num_clients
 
-    @property
-    def resolved_client_state(self) -> str:
-        """``client_state`` with ``auto`` resolved against the population size."""
-        if self.client_state != "auto":
-            return self.client_state
-        return "lazy" if self.num_clients >= LAZY_CLIENT_STATE_THRESHOLD else "eager"
-
     def with_overrides(self, **kwargs) -> "FederatedConfig":
         """Return a copy of this config with the given fields replaced."""
         return replace(self, **kwargs)
@@ -593,7 +563,12 @@ class FederatedConfig:
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "FederatedConfig":
-        """Rebuild a config from :meth:`to_dict` output (or a YAML mapping)."""
+        """Rebuild a config from :meth:`to_dict` output (or a YAML mapping).
+
+        Older checkpoints may carry the retired eager/lazy client-construction
+        switch, which never changed the numerics; it is dropped.
+        """
+        payload = {name: value for name, value in payload.items() if name != "client_state"}
         unknown = set(payload) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown FederatedConfig fields: {sorted(unknown)}")

@@ -11,11 +11,12 @@ FederatedSimulation` uses to farm those jobs out:
   in the simulation process (the reference backend);
 * :class:`MultiprocessingClientExecutor` — runs them on a persistent
   ``multiprocessing`` worker pool; each worker process rebuilds the model,
-  the local trainer and a lazy view of the client population once from the
-  :class:`~repro.federated.config.FederatedConfig` and keeps them alive
-  across rounds; per round the selected cohort is dispatched as one chunk of
-  clients per worker, with the read-only global weights serialised once per
-  chunk (see docs/cross_device_scale.md).
+  the local trainer and the client roster once from the
+  :class:`~repro.federated.config.FederatedConfig`, keeps them alive across
+  rounds and runs its chunks through a :class:`SerialClientExecutor`; per
+  round the selected cohort is dispatched as one chunk of clients per
+  worker, with the read-only global weights serialised once per chunk (see
+  docs/cross_device_scale.md).
 
 Determinism
 -----------
@@ -99,10 +100,10 @@ def client_id_seed_sequence(
     Used by Poisson sampling, where any subset of the population may be drawn
     and slot numbering is therefore meaningless: keying on the client id
     makes a client's stream independent of the population size, of the rest
-    of the cohort, and of whether the population is materialised eagerly or
-    lazily — so a 1M-client run never spawns a million seeds to serve a 10k
-    cohort.  Fixed-size sampling keeps the historical per-slot scheme of
-    :func:`spawn_client_seeds` (committed golden trajectories depend on it).
+    of the cohort and of the backend — so a 1M-client run never spawns a
+    million seeds to serve a 10k cohort.  Fixed-size sampling keeps the
+    historical per-slot scheme of :func:`spawn_client_seeds` (committed
+    golden trajectories depend on it).
     """
     return domain_seed_sequence(seed, _CLIENT_ID_STREAM_DOMAIN, round_index, client_id)
 
@@ -181,34 +182,26 @@ class SerialClientExecutor(ClientExecutor):
 #: Per-worker-process state, populated once by :func:`_worker_initializer`.
 _WORKER_STATE: dict = {}
 
-#: Upper bound on per-worker cached shards.  Paper-scale populations fit
-#: entirely (each worker pays each client's shard construction once across
-#: the whole run); cross-device populations cycle through fresh cohorts every
-#: round anyway, so a bounded cache only has to absorb within-run re-draws.
-_WORKER_SHARD_CACHE_LIMIT = 1024
-
 
 def _worker_initializer(config: FederatedConfig, data_payload: Optional[tuple]) -> None:
-    """Build the model, trainer and a lazy client population once per worker.
+    """Build the model, trainer and client roster once per worker.
 
     ``data_payload`` is ``None`` when the training data is the config's
     synthetic dataset — the worker regenerates it from ``config.seed``, so
     nothing but the config crosses the process boundary at startup.  A custom
     training dataset is shipped once as ``(features, labels, num_classes)``.
-    Either way the worker derives client shards on demand through the same
-    :class:`~repro.data.population.LazyClientPopulation` construction as the
-    parent simulation (identical main-RNG consumption), so worker-side shards
-    are bit-identical to the parent's at every scale.
+    Either way the worker builds its roster with the same
+    :meth:`~repro.federated.client.LazyClientRoster.from_config` as the
+    parent simulation, from a fresh ``default_rng(config.seed)``, so
+    worker-side clients are bit-identical to the parent's at every scale.
     """
     # Imported here so the (spawned) worker pays the import cost once, and to
     # avoid an import cycle at module load time.
     from repro.core.factory import make_trainer
-    from repro.data.population import LazyClientPopulation
     from repro.data.synthetic import generate_train_val
     from repro.nn import build_model_for_dataset
 
-    from .availability import DriftModel
-    from .byzantine import ByzantineBehaviour
+    from .client import LazyClientRoster
 
     model = build_model_for_dataset(config.spec, seed=config.seed, scale=config.model_scale)
     trainer = make_trainer(config.method, model, config)
@@ -217,53 +210,19 @@ def _worker_initializer(config: FederatedConfig, data_payload: Optional[tuple]) 
             config.spec, config.num_train_examples, config.num_val_examples, seed=config.seed
         )
     else:
-        features, labels, num_classes = data_payload
-        train_dataset = Dataset(features, labels, num_classes)
-    population = LazyClientPopulation(
-        train_dataset,
-        config.spec,
-        config.num_clients,
-        rng=np.random.default_rng(config.seed),
-        data_per_client=config.effective_data_per_client,
-        strategy=config.partition,
-        dirichlet_alpha=config.dirichlet_alpha,
-        quantity_skew_exponent=config.quantity_skew_exponent,
+        train_dataset = Dataset(*data_payload)
+    roster = LazyClientRoster.from_config(
+        config, train_dataset, trainer, np.random.default_rng(config.seed)
     )
-    _WORKER_STATE["trainer"] = trainer
-    _WORKER_STATE["population"] = population
-    _WORKER_STATE["shard_cache"] = {}
-    # byzantine data poisoning (label_flip) transforms the shard a client
-    # trains on; workers rebuild the behaviour from the config like
-    # everything else, so worker-side shards match the parent's exactly
-    _WORKER_STATE["byzantine"] = ByzantineBehaviour.from_config(config)
-    # concept drift is a pure function of (seed, client, round, shard), so
-    # workers rebuild it from the config and apply it per round — the shard
-    # cache below keeps holding the *undrifted* shard
-    _WORKER_STATE["drift"] = DriftModel.from_config(config)
+    _WORKER_STATE["executor"] = SerialClientExecutor(roster)
 
 
 def _worker_run_chunk(task: tuple) -> List:
     """Run one chunk of clients' local training inside a worker process."""
-    global_weights, round_index, jobs = task
-    trainer = _WORKER_STATE["trainer"]
-    population = _WORKER_STATE["population"]
-    cache = _WORKER_STATE["shard_cache"]
-    byzantine = _WORKER_STATE["byzantine"]
-    drift = _WORKER_STATE["drift"]
-    results = []
-    for client_index, seed_sequence in jobs:
-        dataset = cache.get(client_index)
-        if dataset is None:
-            dataset = population[client_index]
-            if byzantine is not None:
-                dataset = byzantine.transform_shard(client_index, dataset)
-            if len(cache) < _WORKER_SHARD_CACHE_LIMIT:
-                cache[client_index] = dataset
-        if drift is not None:
-            dataset = drift.apply(client_index, dataset, round_index)
-        rng = np.random.default_rng(seed_sequence)
-        results.append(trainer.train_client(dataset, global_weights, round_index, rng))
-    return results
+    global_weights, round_index, selected, client_seeds = task
+    return _WORKER_STATE["executor"].run_clients(
+        selected, global_weights, round_index, client_seeds
+    )
 
 
 class MultiprocessingClientExecutor(ClientExecutor):
@@ -272,10 +231,10 @@ class MultiprocessingClientExecutor(ClientExecutor):
     Worker processes are started lazily on the first round and kept alive for
     the lifetime of the executor.  Startup ships only the config (plus the
     training dataset when it is a custom one the workers cannot regenerate);
-    each worker rebuilds the model, trainer and a lazy view of the client
-    population in its initializer and derives the shards it is asked to train
-    on demand — no per-client state is ever broadcast, which is what lets
-    this backend serve 100k–1M-client populations (docs/cross_device_scale.md).
+    each worker rebuilds the model, trainer and client roster in its
+    initializer and derives the shards it is asked to train on demand — no
+    per-client state is ever broadcast, which is what lets this backend
+    serve 100k–1M-client populations (docs/cross_device_scale.md).
 
     Per round the selected cohort is split into chunks of
     ``config.worker_chunk_size`` clients (default: one chunk per worker) and
@@ -346,13 +305,15 @@ class MultiprocessingClientExecutor(ClientExecutor):
         chunk = self.config.worker_chunk_size
         if chunk is None:
             chunk = max(1, -(-len(selected) // self.num_workers))
-        tasks = []
-        for start in range(0, len(selected), chunk):
-            jobs = [
-                (int(selected[slot]), client_seeds[slot])
-                for slot in range(start, min(start + chunk, len(selected)))
-            ]
-            tasks.append((weights, int(round_index), jobs))
+        tasks = [
+            (
+                weights,
+                int(round_index),
+                [int(client) for client in selected[start : start + chunk]],
+                list(client_seeds[start : start + chunk]),
+            )
+            for start in range(0, len(selected), chunk)
+        ]
         chunk_results = pool.map(_worker_run_chunk, tasks, chunksize=1)
         return [result for chunk_result in chunk_results for result in chunk_result]
 
@@ -371,12 +332,12 @@ def make_executor(
 ) -> ClientExecutor:
     """Instantiate the executor backend selected by ``config.executor``.
 
-    ``clients`` may be an eager list of
-    :class:`~repro.federated.client.FederatedClient` or a lazy roster — the
-    serial backend only indexes into it.  The multiprocessing backend
-    ignores ``clients`` entirely: workers rebuild the population from the
-    config (``dataset_from_config=True``, nothing shipped) or from the
-    ``train_dataset`` shipped once at pool startup.
+    ``clients`` is the simulation's
+    :class:`~repro.federated.client.LazyClientRoster`; the serial backend
+    only indexes into it.  The multiprocessing backend ignores ``clients``
+    entirely: each worker builds the same roster from the config, over the
+    regenerated dataset (``dataset_from_config=True``, nothing shipped) or
+    the ``train_dataset`` shipped once at pool startup.
     """
     if config.executor == "serial":
         return SerialClientExecutor(clients)

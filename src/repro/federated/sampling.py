@@ -27,7 +27,7 @@ living.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -35,7 +35,7 @@ __all__ = ["sample_clients_fixed", "sample_clients_poisson"]
 
 
 def sample_clients_fixed(
-    num_clients: int, clients_per_round: int, rng: Optional[np.random.Generator] = None
+    num_clients: int, clients_per_round: int, rng: np.random.Generator
 ) -> List[int]:
     """Uniformly sample ``clients_per_round`` distinct client indices."""
     if num_clients <= 0:
@@ -44,13 +44,12 @@ def sample_clients_fixed(
         raise ValueError(
             f"clients_per_round must lie in [1, {num_clients}], got {clients_per_round}"
         )
-    rng = rng if rng is not None else np.random.default_rng()
     chosen = rng.choice(num_clients, size=clients_per_round, replace=False)
     return sorted(int(i) for i in chosen)
 
 
 def sample_clients_poisson(
-    num_clients: int, participation_probability: float, rng: Optional[np.random.Generator] = None
+    num_clients: int, participation_probability: float, rng: np.random.Generator
 ) -> List[int]:
     """Include each client independently with the given probability.
 
@@ -75,7 +74,6 @@ def sample_clients_poisson(
         raise ValueError("num_clients must be positive")
     if not 0.0 < participation_probability <= 1.0:
         raise ValueError("participation_probability must lie in (0, 1]")
-    rng = rng if rng is not None else np.random.default_rng()
     count = int(rng.binomial(num_clients, participation_probability))
     if count == 0:
         return []

@@ -32,14 +32,11 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.data.population import LazyClientPopulation
 from repro.data.synthetic import generate_train_val
 from repro.nn import build_model_for_dataset, evaluate_accuracy
 from repro.privacy.ledger import AccountingContext, make_accountant
 
-from .availability import DriftModel
-from .byzantine import ByzantineBehaviour
-from .client import FederatedClient, LazyClientRoster
+from .client import LazyClientRoster
 from .config import PRIVATE_METHODS, RESUME_MUTABLE_FIELDS, FederatedConfig
 from .executor import ClientExecutor, make_executor
 from .history import RoundSpool, round_result_from_payload, round_result_to_payload
@@ -275,50 +272,13 @@ class FederatedSimulation:
             trainer = make_trainer(config.method, self.model, config)
         self.trainer = trainer
 
-        # The population derives any client's shard on demand from
-        # (seed, strategy, client_id); it consumes the main RNG exactly as the
-        # historical eager partitioning did, so eager and lazy runs share one
-        # trajectory (see docs/cross_device_scale.md)
-        self.population = LazyClientPopulation(
-            self.train_dataset,
-            config.spec,
-            config.num_clients,
-            rng=self.rng,
-            data_per_client=config.effective_data_per_client,
-            strategy=config.partition,
-            dirichlet_alpha=config.dirichlet_alpha,
-            quantity_skew_exponent=config.quantity_skew_exponent,
-        )
-        # byzantine behaviour (if any): label_flip poisons the designated
-        # clients' shards at construction time, scale/sign_flip tamper with
-        # their uploads inside the server's collection loop
-        self.byzantine = ByzantineBehaviour.from_config(config)
-        shard_transform = self.byzantine.transform_shard if self.byzantine is not None else None
-        # concept drift (if any) is applied per round by the clients
-        # themselves; ``self.shards`` and attack ground truth keep the
-        # undrifted labels
-        self.drift = DriftModel.from_config(config)
-        if config.resolved_client_state == "eager":
-            self.shards = self.population.materialize()
-            self.clients = [
-                FederatedClient(
-                    client_id,
-                    shard if shard_transform is None else shard_transform(client_id, shard),
-                    self.trainer,
-                    drift=self.drift,
-                )
-                for client_id, shard in enumerate(self.shards)
-            ]
-        else:
-            # cross-device scale: no per-client object exists until the
-            # round's sampled cohort is indexed
-            self.shards = None
-            self.clients = LazyClientRoster(
-                self.population,
-                self.trainer,
-                shard_transform=shard_transform,
-                drift=self.drift,
-            )
+        # every client and its shard are derived on demand from (seed,
+        # strategy, client id); the roster's population is the first consumer
+        # of the main RNG, here and in every multiprocessing worker (see
+        # docs/cross_device_scale.md).  Byzantine label flipping poisons the
+        # designated shards as they are built; concept drift is applied per
+        # round by the clients, so attack ground truth keeps the true labels
+        self.clients = LazyClientRoster.from_config(config, self.train_dataset, self.trainer, self.rng)
         executor = make_executor(
             config,
             self.clients,
@@ -334,7 +294,7 @@ class FederatedSimulation:
             self.model.get_weights(),
             executor,
             update_sanitizer=sanitizer,
-            byzantine=self.byzantine,
+            byzantine=self.clients.byzantine,
         )
         # lazy import: the attack stack (scipy's optimiser) is only paid for
         # when the config actually schedules an in-loop adversary
@@ -349,7 +309,7 @@ class FederatedSimulation:
         # per-client rates (docs/privacy_accounting.md)
         self.accountant = make_accountant(
             config.accountant,
-            context=AccountingContext.from_config(config, self.population.shard_sizes()),
+            context=AccountingContext.from_config(config, self.clients.population.shard_sizes()),
         )
         self.history = SimulationHistory(config=config)
         self._history_spool = history_spool
@@ -607,9 +567,8 @@ class FederatedSimulation:
         :data:`~repro.federated.config.RESUME_MUTABLE_FIELDS` (``None`` keeps
         the checkpoint's value); any other field raises ``ValueError``,
         because the checkpoint pins it.  The execution backend
-        (``executor``, ``num_workers``, ``client_state``,
-        ``worker_chunk_size``) is a runtime choice that does not affect the
-        numerics (both backends and both client-state modes consume
+        (``executor``, ``num_workers``, ``worker_chunk_size``) is a runtime
+        choice that does not affect the numerics (both backends consume
         identical RNG streams).
         ``history_spool`` / ``history_tail`` stream the resumed history to a
         fresh disk spool (see docs/cross_device_scale.md).  ``rounds`` may

@@ -242,12 +242,6 @@ class MomentsAccountant:
         epsilon, _ = rdp_to_epsilon(self.orders, self._rdp, delta)
         return epsilon
 
-    def get_epsilon_and_order(self, delta: float) -> Tuple[float, float]:
-        """Current epsilon along with the optimal Renyi order."""
-        if self._steps == 0:
-            return 0.0, float(self.orders[0])
-        return rdp_to_epsilon(self.orders, self._rdp, delta)
-
     # ------------------------------------------------------------------
     # Pluggable-accountant interface (see repro.privacy.ledger)
     # ------------------------------------------------------------------

@@ -431,7 +431,6 @@ RUN_FLAGS = [
     (("--checkpoint-every",), "checkpoint_every", "int", None, None, 1),
     (("--churn-rate",), "churn_rate", "float", None, None, None),
     (("--client-sampling",), "client_sampling", None, None, ("fixed", "poisson"), None),
-    (("--client-state",), "client_state", None, None, ("auto", "eager", "lazy"), None),
     (("--clients",), "clients", "int", None, None, None),
     (("--clipping-bound",), "clipping_bound", "float", None, None, None),
     (("--config",), "config", None, None, None, None),

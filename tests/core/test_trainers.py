@@ -19,6 +19,7 @@ from repro.experiments.harness import quick_config
 from repro.nn import build_model_for_dataset
 from repro.nn.perexample import stack_to_example_lists
 from repro.privacy import MomentsAccountant, l2_norm
+from repro.privacy.ledger import AccountingContext
 from repro.privacy.clipping import LinearDecayClipping
 
 
@@ -196,10 +197,17 @@ def test_privacy_accounting_fed_cdp_vs_fed_sdp(small_setup):
     sdp = FedSDPTrainer(model, config.with_overrides(method="fed_sdp"))
     nonprivate = NonPrivateTrainer(model, config.with_overrides(method="nonprivate"))
 
-    acc_cdp, acc_sdp, acc_none = MomentsAccountant(), MomentsAccountant(), MomentsAccountant()
-    cdp.accumulate_privacy(acc_cdp, 0)
-    sdp.accumulate_privacy(acc_sdp, 0)
-    nonprivate.accumulate_privacy(acc_none, 0)
+    context = AccountingContext.from_config(config, [config.effective_data_per_client] * config.num_clients)
+
+    def charged(trainer):
+        accountant = MomentsAccountant()
+        accountant.bind_context(context)
+        charge = trainer.round_privacy_charge(0)
+        if charge is not None:
+            accountant.charge_round(charge, participants=[0])
+        return accountant
+
+    acc_cdp, acc_sdp, acc_none = charged(cdp), charged(sdp), charged(nonprivate)
     assert acc_cdp.steps == config.effective_local_iterations
     assert acc_sdp.steps == 1
     assert acc_none.steps == 0

@@ -83,7 +83,7 @@ def test_dataset_split(rng):
     left, right = data.split(0.8, rng=rng)
     assert len(left) == 40 and len(right) == 10
     with pytest.raises(ValueError):
-        data.split(1.5)
+        data.split(1.5, rng=rng)
 
 
 def test_image_generator_shapes_and_determinism():

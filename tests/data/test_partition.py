@@ -1,22 +1,24 @@
-"""Tests for the non-IID shard partitioning."""
+"""Tests for the non-IID shard partitioning.
+
+Shards are built the one way a run builds them: through
+:class:`~repro.data.population.LazyClientPopulation`, or through the
+``*_partition_indices`` cores it calls.
+"""
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.data import (
     Dataset,
+    LazyClientPopulation,
     dirichlet_partition_indices,
     generate_image_dataset,
     get_dataset_spec,
     iid_partition_indices,
-    partition_by_class_shards,
-    partition_dataset,
-    partition_dirichlet,
-    partition_full_copy,
-    partition_iid,
-    partition_quantity_skew,
     quantity_skew_partition_indices,
 )
 
@@ -26,9 +28,26 @@ def _toy_dataset(n=200, classes=10, seed=0):
     return Dataset(rng.normal(size=(n, 4)), rng.integers(0, classes, size=n), num_classes=classes)
 
 
+def _class_shards(data, num_clients, data_per_client, classes_per_client, rng):
+    """The ``shards`` strategy's clients, ``classes_per_client`` classes each."""
+    spec = replace(get_dataset_spec("mnist"), classes_per_client=classes_per_client)
+    population = LazyClientPopulation(
+        data, spec, num_clients, rng=rng, data_per_client=data_per_client
+    )
+    return list(population)
+
+
+def _shards(data, num_clients, rng, strategy, **kwargs):
+    """Every client's shard under ``strategy`` (a disjoint split of ``data``)."""
+    population = LazyClientPopulation(
+        data, get_dataset_spec("mnist"), num_clients, rng=rng, strategy=strategy, **kwargs
+    )
+    return list(population)
+
+
 def test_shard_partition_sizes_and_class_skew(rng):
     data = _toy_dataset()
-    shards = partition_by_class_shards(data, num_clients=8, data_per_client=50, classes_per_client=2, rng=rng)
+    shards = _class_shards(data, num_clients=8, data_per_client=50, classes_per_client=2, rng=rng)
     assert len(shards) == 8
     for shard in shards:
         assert len(shard) == 50
@@ -38,7 +57,7 @@ def test_shard_partition_sizes_and_class_skew(rng):
 
 def test_shard_partition_covers_many_classes_overall(rng):
     data = _toy_dataset()
-    shards = partition_by_class_shards(data, num_clients=20, data_per_client=20, classes_per_client=2, rng=rng)
+    shards = _class_shards(data, num_clients=20, data_per_client=20, classes_per_client=2, rng=rng)
     covered = set()
     for shard in shards:
         covered.update(shard.classes_present().tolist())
@@ -47,51 +66,52 @@ def test_shard_partition_covers_many_classes_overall(rng):
 
 def test_shard_partition_handles_more_requested_than_available(rng):
     data = _toy_dataset(n=30, classes=3)
-    shards = partition_by_class_shards(data, num_clients=5, data_per_client=40, classes_per_client=2, rng=rng)
+    shards = _class_shards(data, num_clients=5, data_per_client=40, classes_per_client=2, rng=rng)
     assert all(len(shard) == 40 for shard in shards)
 
 
 def test_shard_partition_validation(rng):
     data = _toy_dataset()
     with pytest.raises(ValueError):
-        partition_by_class_shards(data, 0, 10, 2, rng=rng)
+        _class_shards(data, 0, 10, 2, rng=rng)
     with pytest.raises(ValueError):
-        partition_by_class_shards(data, 2, 0, 2, rng=rng)
+        _class_shards(data, 2, 0, 2, rng=rng)
     with pytest.raises(ValueError):
-        partition_by_class_shards(data, 2, 10, 0, rng=rng)
+        _class_shards(data, 2, 10, 0, rng=rng)
     with pytest.raises(ValueError):
-        partition_by_class_shards(data, 2, 10, 99, rng=rng)
+        _class_shards(data, 2, 10, 99, rng=rng)
 
 
 def test_full_copy_partition():
     data = _toy_dataset(n=40)
-    shards = partition_full_copy(data, 3)
+    cancer_spec = get_dataset_spec("cancer")
+    shards = list(LazyClientPopulation(data, cancer_spec, 3, rng=np.random.default_rng(0)))
     assert len(shards) == 3
     for shard in shards:
         assert len(shard) == 40
         np.testing.assert_array_equal(shard.labels, data.labels)
     with pytest.raises(ValueError):
-        partition_full_copy(data, 0)
+        LazyClientPopulation(data, cancer_spec, 0, rng=np.random.default_rng(0))
 
 
 def test_partition_dataset_respects_spec(rng):
     mnist_spec = get_dataset_spec("mnist")
     data = generate_image_dataset(300, mnist_spec.image_shape, mnist_spec.num_classes, seed=0)
-    shards = partition_dataset(data, mnist_spec, num_clients=4, rng=rng, data_per_client=30)
+    shards = list(LazyClientPopulation(data, mnist_spec, 4, rng=rng, data_per_client=30))
     assert len(shards) == 4
     assert all(len(s) == 30 for s in shards)
     assert all(len(s.classes_present()) <= mnist_spec.classes_per_client for s in shards)
 
     cancer_spec = get_dataset_spec("cancer")
     tab = _toy_dataset(n=25, classes=2)
-    copies = partition_dataset(tab, cancer_spec, num_clients=3, rng=rng)
+    copies = list(LazyClientPopulation(tab, cancer_spec, 3, rng=rng))
     assert all(len(c) == 25 for c in copies)
 
 
 def test_partition_is_reproducible_with_seeded_rng():
     data = _toy_dataset()
-    a = partition_by_class_shards(data, 5, 20, 2, rng=np.random.default_rng(7))
-    b = partition_by_class_shards(data, 5, 20, 2, rng=np.random.default_rng(7))
+    a = _class_shards(data, 5, 20, 2, rng=np.random.default_rng(7))
+    b = _class_shards(data, 5, 20, 2, rng=np.random.default_rng(7))
     for left, right in zip(a, b):
         np.testing.assert_array_equal(left.labels, right.labels)
         np.testing.assert_array_equal(left.features, right.features)
@@ -146,7 +166,7 @@ def test_dirichlet_concentration_monotone_in_alpha():
     for seed in range(3):
         concentrations = [
             _mean_label_concentration(
-                partition_dirichlet(data, 6, alpha, rng=np.random.default_rng(seed))
+                _shards(data, 6, np.random.default_rng(seed), "dirichlet", dirichlet_alpha=alpha)
             )
             for alpha in alphas
         ]
@@ -155,10 +175,10 @@ def test_dirichlet_concentration_monotone_in_alpha():
         ), f"seed {seed}: concentration {concentrations} not monotone over alphas {alphas}"
     # the extremes genuinely span IID -> pathological
     iid_like = _mean_label_concentration(
-        partition_dirichlet(data, 6, 100.0, rng=np.random.default_rng(0))
+        _shards(data, 6, np.random.default_rng(0), "dirichlet", dirichlet_alpha=100.0)
     )
     pathological = _mean_label_concentration(
-        partition_dirichlet(data, 6, 0.05, rng=np.random.default_rng(0))
+        _shards(data, 6, np.random.default_rng(0), "dirichlet", dirichlet_alpha=0.05)
     )
     assert iid_like < 0.2  # ~uniform over 10 classes (0.1 ideal)
     assert pathological > 0.5  # dominated by one or two classes
@@ -167,9 +187,9 @@ def test_dirichlet_concentration_monotone_in_alpha():
 def test_scenario_partitioners_are_seed_stable():
     data = _toy_dataset(n=150)
     for build in (
-        lambda r: partition_iid(data, 5, rng=r),
-        lambda r: partition_dirichlet(data, 5, 0.2, rng=r),
-        lambda r: partition_quantity_skew(data, 5, 1.5, rng=r),
+        lambda r: _shards(data, 5, r, "iid"),
+        lambda r: _shards(data, 5, r, "dirichlet", dirichlet_alpha=0.2),
+        lambda r: _shards(data, 5, r, "quantity_skew", quantity_skew_exponent=1.5),
     ):
         a = build(np.random.default_rng(13))
         b = build(np.random.default_rng(13))
@@ -195,11 +215,11 @@ def test_scenario_partitioners_validation(rng):
 def test_partition_dataset_strategy_dispatch(rng):
     spec = get_dataset_spec("mnist")
     data = _toy_dataset(n=120, classes=10)
-    iid = partition_dataset(data, spec, 4, rng=rng, strategy="iid")
+    iid = LazyClientPopulation(data, spec, 4, rng=rng, strategy="iid")
     assert sum(len(s) for s in iid) == 120
-    dirichlet = partition_dataset(data, spec, 4, rng=rng, strategy="dirichlet", dirichlet_alpha=0.1)
+    dirichlet = LazyClientPopulation(data, spec, 4, rng=rng, strategy="dirichlet", dirichlet_alpha=0.1)
     assert sum(len(s) for s in dirichlet) == 120
-    skew = partition_dataset(data, spec, 4, rng=rng, strategy="quantity_skew")
+    skew = LazyClientPopulation(data, spec, 4, rng=rng, strategy="quantity_skew")
     assert sum(len(s) for s in skew) == 120
     with pytest.raises(ValueError):
-        partition_dataset(data, spec, 4, rng=rng, strategy="bogus")
+        LazyClientPopulation(data, spec, 4, rng=rng, strategy="bogus")

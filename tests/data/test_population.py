@@ -1,13 +1,10 @@
-"""Lazy client population: derivation-equivalence and scale properties.
+"""Lazy client population: derivation and scale properties.
 
-The cross-device scaling architecture (docs/cross_device_scale.md) rests on
-one invariant: for every strategy and every client id,
-``LazyClientPopulation(...)[k]`` must be *bitwise identical* to the shard the
-eager ``partition_dataset(...)`` would have built — same examples, same
-within-shard order — when both consume a generator in the same state.  This
-suite proves that equivalence property-based across all four strategies, and
-pins the properties lazy derivation additionally guarantees: O(cohort) access
-cost independent of the population size, and derivation order independence.
+Every run builds its client shards through :class:`LazyClientPopulation`
+(docs/cross_device_scale.md).  This suite pins what on-demand derivation
+guarantees: the population consumes the main RNG exactly as the index cores
+it calls, O(cohort) access cost independent of the population size, and
+derivation order independence.
 """
 
 from __future__ import annotations
@@ -19,19 +16,22 @@ from hypothesis import strategies as st
 
 from repro.data import (
     LazyClientPopulation,
+    dirichlet_partition_indices,
     generate_tabular_dataset,
     get_dataset_spec,
-    partition_dataset,
+    iid_partition_indices,
+    quantity_skew_partition_indices,
 )
+from repro.data.partition import draw_partition_seed
 from repro.data.synthetic import generate_dataset
 
 STRATEGIES = ("shards", "iid", "dirichlet", "quantity_skew")
 
 
-def _population_and_shards(strategy, num_clients, seed, data_per_client=12, spec_name="mnist"):
+def _population(strategy, num_clients, seed, data_per_client=12, spec_name="mnist"):
     spec = get_dataset_spec(spec_name)
     base = generate_dataset(spec, 240, seed=seed)
-    eager = partition_dataset(
+    return LazyClientPopulation(
         base,
         spec,
         num_clients,
@@ -41,33 +41,6 @@ def _population_and_shards(strategy, num_clients, seed, data_per_client=12, spec
         dirichlet_alpha=0.3,
         quantity_skew_exponent=1.5,
     )
-    population = LazyClientPopulation(
-        base,
-        spec,
-        num_clients,
-        rng=np.random.default_rng(seed),
-        data_per_client=data_per_client,
-        strategy=strategy,
-        dirichlet_alpha=0.3,
-        quantity_skew_exponent=1.5,
-    )
-    return population, eager
-
-
-@settings(max_examples=20, deadline=None)
-@given(
-    strategy=st.sampled_from(STRATEGIES),
-    num_clients=st.integers(min_value=1, max_value=10),
-    seed=st.integers(min_value=0, max_value=500),
-)
-def test_lazy_population_matches_eager_partition(strategy, num_clients, seed):
-    population, eager = _population_and_shards(strategy, num_clients, seed)
-    assert len(population) == len(eager) == num_clients
-    for client_id, shard in enumerate(eager):
-        lazy = population[client_id]
-        np.testing.assert_array_equal(lazy.features, shard.features)
-        np.testing.assert_array_equal(lazy.labels, shard.labels)
-        assert lazy.num_classes == shard.num_classes
 
 
 @settings(max_examples=20, deadline=None)
@@ -76,42 +49,36 @@ def test_lazy_population_matches_eager_partition(strategy, num_clients, seed):
     num_clients=st.integers(min_value=2, max_value=10),
     seed=st.integers(min_value=0, max_value=500),
 )
-def test_lazy_population_rng_consumption_matches_eager(strategy, num_clients, seed):
-    """Both paths leave the caller's generator in the identical state, so a
-    simulation built lazily consumes the main RNG exactly like an eager one
-    (the bit-identity of whole trajectories depends on this)."""
+def test_population_rng_consumption_matches_index_cores(strategy, num_clients, seed):
+    """Construction draws from the caller's generator exactly what the
+    strategy's index core (or the one partition-seed draw of ``shards``)
+    draws, so the main RNG a simulation goes on to use after building its
+    population is the same whatever the strategy's internals do later."""
     spec = get_dataset_spec("mnist")
     base = generate_dataset(spec, 240, seed=seed)
-    rng_eager = np.random.default_rng(seed)
-    rng_lazy = np.random.default_rng(seed)
-    partition_dataset(
-        base, spec, num_clients, rng=rng_eager, data_per_client=12,
-        strategy=strategy, dirichlet_alpha=0.3, quantity_skew_exponent=1.5,
-    )
+    rng_core = np.random.default_rng(seed)
+    rng_population = np.random.default_rng(seed)
+    if strategy == "shards":
+        draw_partition_seed(rng_core)
+    elif strategy == "iid":
+        iid_partition_indices(len(base), num_clients, rng=rng_core)
+    elif strategy == "dirichlet":
+        dirichlet_partition_indices(base.labels, num_clients, 0.3, rng=rng_core)
+    else:
+        quantity_skew_partition_indices(len(base), num_clients, 1.5, rng=rng_core)
     LazyClientPopulation(
-        base, spec, num_clients, rng=rng_lazy, data_per_client=12,
+        base, spec, num_clients, rng=rng_population, data_per_client=12,
         strategy=strategy, dirichlet_alpha=0.3, quantity_skew_exponent=1.5,
     )
-    assert rng_eager.bit_generator.state == rng_lazy.bit_generator.state
-
-
-def test_full_copy_spec_matches_eager():
-    spec = get_dataset_spec("cancer")
-    assert spec.full_copy_per_client
-    base = generate_dataset(spec, 120, seed=5)
-    eager = partition_dataset(base, spec, 3, rng=np.random.default_rng(5))
-    population = LazyClientPopulation(base, spec, 3, rng=np.random.default_rng(5))
-    for client_id, shard in enumerate(eager):
-        np.testing.assert_array_equal(population[client_id].features, shard.features)
-        np.testing.assert_array_equal(population[client_id].labels, shard.labels)
+    assert rng_core.bit_generator.state == rng_population.bit_generator.state
 
 
 def test_shards_derivation_is_population_size_independent():
     """Client k's shard must not depend on how many other clients exist —
     the property that lets a 1M-client population serve a 10-client cohort
     without ever touching the other 999 990 clients."""
-    small, _ = _population_and_shards("shards", 4, seed=11)
-    large, _ = _population_and_shards("shards", 5000, seed=11)
+    small = _population("shards", 4, seed=11)
+    large = _population("shards", 5000, seed=11)
     for client_id in range(4):
         np.testing.assert_array_equal(
             small[client_id].features, large[client_id].features
@@ -120,31 +87,33 @@ def test_shards_derivation_is_population_size_independent():
 
 
 def test_access_order_does_not_change_derivation():
-    population, eager = _population_and_shards("shards", 6, seed=23)
+    population = _population("shards", 6, seed=23)
+    first = [population[client_id] for client_id in range(6)]
     # read clients back-to-front, twice; every access re-derives identically
     for _ in range(2):
         for client_id in reversed(range(6)):
             np.testing.assert_array_equal(
-                population[client_id].features, eager[client_id].features
+                population[client_id].features, first[client_id].features
             )
 
 
 def test_indices_and_sizes_and_slices():
-    population, eager = _population_and_shards("iid", 5, seed=3)
+    population = _population("iid", 5, seed=3)
+    parts = iid_partition_indices(len(population.dataset), 5, rng=np.random.default_rng(3))
     sizes = population.shard_sizes()
     assert sizes.shape == (5,)
-    assert [int(s) for s in sizes] == [len(shard) for shard in eager]
+    assert [int(s) for s in sizes] == [len(part) for part in parts]
     indices = np.asarray(population.indices_for(2))
-    assert indices.shape == (len(eager[2]),)
-    np.testing.assert_array_equal(eager[2].features, population.dataset.features[indices])
+    np.testing.assert_array_equal(indices, parts[2])
+    np.testing.assert_array_equal(population[2].features, population.dataset.features[indices])
     assert len(population[1:3]) == 2
-    np.testing.assert_array_equal(population[-1].features, eager[-1].features)
-    materialized = population.materialize()
-    assert len(materialized) == 5
+    np.testing.assert_array_equal(
+        population[-1].features, population.dataset.features[parts[-1]]
+    )
 
 
 def test_out_of_range_and_bad_strategy():
-    population, _ = _population_and_shards("shards", 3, seed=0)
+    population = _population("shards", 3, seed=0)
     with pytest.raises(IndexError):
         population[3]
     with pytest.raises(IndexError):
@@ -152,6 +121,6 @@ def test_out_of_range_and_bad_strategy():
     spec = get_dataset_spec("mnist")
     base = generate_tabular_dataset(50, 4, 3, seed=0)
     with pytest.raises(ValueError):
-        LazyClientPopulation(base, spec, 3, strategy="bogus")
+        LazyClientPopulation(base, spec, 3, rng=np.random.default_rng(0), strategy="bogus")
     with pytest.raises(ValueError):
-        LazyClientPopulation(base, spec, 0)
+        LazyClientPopulation(base, spec, 0, rng=np.random.default_rng(0))

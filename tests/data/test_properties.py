@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.data import (
     Dataset,
+    LazyClientPopulation,
     dirichlet_partition_indices,
     generate_tabular_dataset,
+    get_dataset_spec,
     iid_partition_indices,
-    partition_by_class_shards,
     quantity_skew_partition_indices,
 )
 from repro.data.dataset import batch_indices
@@ -46,9 +49,9 @@ def test_tabular_generator_invariants(num_examples, num_features, num_classes, s
 def test_shard_partition_invariants(num_clients, data_per_client, classes_per_client, seed):
     rng = np.random.default_rng(seed)
     base = generate_tabular_dataset(150, 4, 5, seed=seed)
-    shards = partition_by_class_shards(
-        base, num_clients, data_per_client=data_per_client,
-        classes_per_client=classes_per_client, rng=rng,
+    spec = replace(get_dataset_spec("mnist"), classes_per_client=classes_per_client)
+    shards = list(
+        LazyClientPopulation(base, spec, num_clients, rng=rng, data_per_client=data_per_client)
     )
     assert len(shards) == num_clients
     for shard in shards:

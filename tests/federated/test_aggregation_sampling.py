@@ -74,11 +74,11 @@ def test_sample_clients_fixed_properties(rng):
     assert all(0 <= c < 100 for c in chosen)
     assert chosen == sorted(chosen)
     with pytest.raises(ValueError):
-        sample_clients_fixed(0, 1)
+        sample_clients_fixed(0, 1, rng=rng)
     with pytest.raises(ValueError):
-        sample_clients_fixed(10, 0)
+        sample_clients_fixed(10, 0, rng=rng)
     with pytest.raises(ValueError):
-        sample_clients_fixed(10, 11)
+        sample_clients_fixed(10, 11, rng=rng)
 
 
 def test_sample_clients_fixed_is_deterministic_with_seed():
@@ -92,9 +92,9 @@ def test_sample_clients_poisson(rng):
     assert 50 <= len(chosen) <= 200  # loose binomial bounds
     assert len(set(chosen)) == len(chosen)
     with pytest.raises(ValueError):
-        sample_clients_poisson(0, 0.1)
+        sample_clients_poisson(0, 0.1, rng=rng)
     with pytest.raises(ValueError):
-        sample_clients_poisson(10, 0.0)
+        sample_clients_poisson(10, 0.0, rng=rng)
 
 
 def test_sample_clients_poisson_may_return_empty_and_is_deterministic():

@@ -389,7 +389,7 @@ def test_default_configs_have_no_availability_dynamics():
     assert simulation.server.availability.cycle is None
     assert simulation.server.availability.churn is None
     assert simulation.server.availability.device_classes is None
-    assert simulation.drift is None
+    assert simulation.clients.drift is None
     history = simulation.run()
     for result in history.rounds:
         assert result.participating_clients == result.selected_clients

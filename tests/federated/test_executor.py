@@ -276,14 +276,6 @@ def test_byzantine_label_flip_serial_and_multiprocessing_bit_identical():
     assert list(serial.gradient_norm_series) == list(parallel.gradient_norm_series)
 
 
-def test_byzantine_label_flip_lazy_matches_eager():
-    config = _byzantine_config()
-    eager = _run(config.with_overrides(client_state="eager"))
-    lazy = _run(config.with_overrides(client_state="lazy"))
-    _assert_histories_equal(eager, lazy)
-    assert [r.mean_loss for r in eager.rounds] == [r.mean_loss for r in lazy.rounds]
-
-
 def test_byzantine_checkpoint_resume_bit_identical(tmp_path):
     checkpoint = str(tmp_path / "ck.json")
     config = _byzantine_config()
@@ -409,11 +401,31 @@ def test_from_checkpoint_rejects_overriding_a_pinned_field(tmp_path):
         FederatedSimulation.from_checkpoint(checkpoint, executor="serial", noise_scale=1.0)
     # the resume-mutable fields stay free, and None keeps the checkpoint's value
     with FederatedSimulation.from_checkpoint(
-        checkpoint, rounds=2, executor=None, num_workers=None, client_state="lazy", worker_chunk_size=1
+        checkpoint, rounds=2, executor=None, num_workers=None, worker_chunk_size=1
     ) as resumed:
         assert resumed.config.rounds == 2
         assert resumed.config.executor == "serial"
-        assert resumed.config.client_state == "lazy"
+
+
+def test_checkpoint_with_retired_client_state_key_resumes_exactly(tmp_path):
+    # checkpoints written while the eager/lazy client-construction switch
+    # existed carry its value in their config; it never changed numerics
+    checkpoint = tmp_path / "ck.json"
+    config = quick_config("cancer", "fed_cdp", rounds=3, eval_every=1, seed=5)
+    uninterrupted = _run(config)
+    FederatedSimulation(config).run(rounds=1, checkpoint_path=str(checkpoint))
+    state = json.loads(checkpoint.read_text())
+    state["config"]["client_state"] = "lazy"
+    state["history"]["config"]["client_state"] = "lazy"
+    checkpoint.write_text(json.dumps(state))
+    resumed = FederatedSimulation.from_checkpoint(str(checkpoint)).run()
+    _assert_histories_equal(uninterrupted, resumed)
+    assert [r.mean_loss for r in uninterrupted.rounds] == [r.mean_loss for r in resumed.rounds]
+    # any other unknown field still fails loudly, naming the field
+    state["config"]["client_mode"] = "lazy"
+    checkpoint.write_text(json.dumps(state))
+    with pytest.raises(ValueError, match="client_mode"):
+        FederatedSimulation.from_checkpoint(str(checkpoint))
 
 
 def test_simulation_rejects_custom_trainer_with_multiprocessing():

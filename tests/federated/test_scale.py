@@ -2,9 +2,9 @@
 
 Three guarantees of the lazy client-state architecture are locked in here:
 
-* **Numerics-neutrality** — ``client_state="lazy"`` and the streamed history
-  spool change *where* state lives, never *what* is computed: trajectories
-  are bit-identical to eager in-RAM runs, across backends, and across
+* **Numerics-neutrality** — the streamed history spool and the execution
+  backend change *where* state lives, never *what* is computed: trajectories
+  are bit-identical to in-RAM runs, across backends, and across
   checkpoint/resume.
 * **Bounded memory** — a million-client population with a q = 0.1% Poisson
   cohort runs in a laptop-sized memory envelope: construction cost is
@@ -23,7 +23,6 @@ import os
 import numpy as np
 
 from repro.experiments.harness import quick_config
-from repro.federated.config import LAZY_CLIENT_STATE_THRESHOLD
 from repro.federated.history import RoundSpool
 from repro.federated.simulation import FederatedSimulation, SimulationHistory
 
@@ -43,7 +42,7 @@ def _run_history_dict(config, **sim_kwargs) -> dict:
         history = simulation.run()
     payload = history.to_dict()
     # normalise the fields that legitimately differ between the variants
-    for key in ("client_state", "executor", "num_workers", "worker_chunk_size"):
+    for key in ("executor", "num_workers", "worker_chunk_size"):
         payload["config"].pop(key, None)
     return _scrub_timings(payload)
 
@@ -73,17 +72,8 @@ BASE = dict(
 # ----------------------------------------------------------------------
 # Numerics-neutrality
 # ----------------------------------------------------------------------
-def test_lazy_client_state_is_bit_identical_to_eager():
-    config = quick_config("adult", "fed_cdp", **BASE)
-    eager = _run_history_dict(config.with_overrides(client_state="eager"))
-    lazy = _run_history_dict(config.with_overrides(client_state="lazy"))
-    assert eager == lazy
-
-
 def test_lazy_poisson_serial_matches_multiprocessing():
-    config = quick_config(
-        "adult", "nonprivate", client_state="lazy", **BASE
-    )
+    config = quick_config("adult", "nonprivate", **BASE)
     serial = _run_history_dict(config)
     parallel = _run_history_dict(
         config.with_overrides(executor="multiprocessing", num_workers=2)
@@ -95,14 +85,6 @@ def test_lazy_poisson_serial_matches_multiprocessing():
         )
     )
     assert serial == chunked
-
-
-def test_auto_client_state_thresholds_on_population_size():
-    small = quick_config("adult", "nonprivate")
-    assert small.resolved_client_state == "eager"
-    large = small.with_overrides(num_clients=LAZY_CLIENT_STATE_THRESHOLD)
-    assert large.resolved_client_state == "lazy"
-    assert small.with_overrides(client_state="lazy").resolved_client_state == "lazy"
 
 
 # ----------------------------------------------------------------------
@@ -151,18 +133,10 @@ def test_spooled_checkpoint_resume_is_exact(tmp_path):
     with resumed:
         history = resumed.run()
     payload = history.to_dict()
-    for key in ("client_state", "executor", "num_workers", "worker_chunk_size"):
+    for key in ("executor", "num_workers", "worker_chunk_size"):
         payload["config"].pop(key, None)
     assert _scrub_timings(payload) == reference
     assert history.rounds.in_memory_rounds() <= 1
-    # resuming may also switch client state: the checkpoint pins numerics only
-    resumed_lazy = FederatedSimulation.from_checkpoint(checkpoint, client_state="lazy")
-    with resumed_lazy:
-        lazy_history = resumed_lazy.run()
-    lazy_payload = lazy_history.to_dict()
-    for key in ("client_state", "executor", "num_workers", "worker_chunk_size"):
-        lazy_payload["config"].pop(key, None)
-    assert _scrub_timings(lazy_payload) == reference
 
 
 def test_resume_onto_same_spool_path_does_not_truncate(tmp_path):
@@ -184,7 +158,7 @@ def test_resume_onto_same_spool_path_does_not_truncate(tmp_path):
     with resumed:
         history = resumed.run()
     payload = history.to_dict()
-    for key in ("client_state", "executor", "num_workers", "worker_chunk_size"):
+    for key in ("executor", "num_workers", "worker_chunk_size"):
         payload["config"].pop(key, None)
     assert _scrub_timings(payload) == reference
     # the rebuilt spool carries the complete run: restored prefix + new rounds
@@ -245,16 +219,8 @@ DYNAMICS = dict(
 )
 
 
-def test_population_dynamics_eager_matches_lazy():
-    config = quick_config("adult", "fed_cdp", **BASE, **DYNAMICS)
-    eager = _run_history_dict(config.with_overrides(client_state="eager"))
-    lazy = _run_history_dict(config.with_overrides(client_state="lazy"))
-    assert eager == lazy
-    assert sum(len(r.get("offline_clients", [])) for r in eager["rounds"]) > 0
-
-
 def test_population_dynamics_serial_matches_multiprocessing_and_resume(tmp_path):
-    config = quick_config("adult", "fed_cdp", client_state="lazy", **BASE, **DYNAMICS)
+    config = quick_config("adult", "fed_cdp", **BASE, **DYNAMICS)
     serial = _run_history_dict(config)
     parallel = _run_history_dict(
         config.with_overrides(executor="multiprocessing", num_workers=2)
@@ -268,7 +234,7 @@ def test_population_dynamics_serial_matches_multiprocessing_and_resume(tmp_path)
     with resumed:
         history = resumed.run()
     payload = history.to_dict()
-    for key in ("client_state", "executor", "num_workers", "worker_chunk_size"):
+    for key in ("executor", "num_workers", "worker_chunk_size"):
         payload["config"].pop(key, None)
     assert _scrub_timings(payload) == serial
 
@@ -291,14 +257,13 @@ def test_million_client_run_is_memory_bounded(tmp_path):
         local_iterations=1,
         data_per_client=8,
     )
-    assert config.resolved_client_state == "lazy"
     before = _rss_mb()
     with FederatedSimulation(
         config, history_spool=str(tmp_path / "spool.jsonl"), history_tail=4
     ) as simulation:
         history = simulation.run()
     delta = _rss_mb() - before
-    # an eager population alone would need >= K * data_per_client * 8 bytes
+    # materialising every shard would need >= K * data_per_client * 8 bytes
     # of float64 features (~450 MB for adult's 6 features at 8 rows); the lazy
     # path allocates O(dataset + cohort + accounting) instead
     assert delta < 300, f"1M-client run grew RSS by {delta:.0f} MB"

@@ -96,7 +96,8 @@ def test_moments_accountant_stateful_accumulation_matches_oneshot():
     assert accountant.steps == 1000
     oneshot = compute_dp_sgd_epsilon(0.01, 6.0, 1000, 1e-5)
     assert accountant.get_epsilon(1e-5) == pytest.approx(oneshot, rel=1e-9)
-    epsilon, order = accountant.get_epsilon_and_order(1e-5)
+    rdp = 1000 * compute_rdp_subsampled_gaussian(0.01, 6.0, accountant.orders)
+    epsilon, order = rdp_to_epsilon(accountant.orders, rdp, 1e-5)
     assert epsilon == pytest.approx(oneshot)
     assert order in DEFAULT_RDP_ORDERS
     accountant.reset()
