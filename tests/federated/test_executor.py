@@ -16,8 +16,10 @@ import json
 import numpy as np
 import pytest
 
+from repro.data import Dataset
 from repro.experiments.harness import quick_config
 from repro.federated import FederatedConfig, FederatedSimulation
+from repro.federated.client import FederatedClient
 from repro.federated.executor import (
     MultiprocessingClientExecutor,
     SerialClientExecutor,
@@ -274,6 +276,28 @@ def test_byzantine_label_flip_serial_and_multiprocessing_bit_identical():
     _assert_histories_equal(serial, parallel)
     assert [r.mean_loss for r in serial.rounds] == [r.mean_loss for r in parallel.rounds]
     assert list(serial.gradient_norm_series) == list(parallel.gradient_norm_series)
+
+
+def test_byzantine_label_flip_lazy_matches_eager():
+    """The roster's on-demand label flipping trains exactly like clients
+    built once up front, with the designated shards flipped by hand
+    (``y -> C - 1 - y``) and held for the whole run."""
+    config = _byzantine_config()
+    lazy = _run(config)
+    with FederatedSimulation(config) as simulation:
+        population = simulation.clients.population
+        eager_clients = []
+        for client_id in range(len(population)):
+            shard = population[client_id]
+            if client_id in config.byzantine_clients:
+                labels = np.asarray(shard.labels, dtype=np.int64)
+                shard = Dataset(shard.features, shard.num_classes - 1 - labels, shard.num_classes)
+            eager_clients.append(FederatedClient(client_id, shard, simulation.trainer))
+        assert not np.array_equal(eager_clients[0].dataset.labels, population[0].labels)
+        simulation.executor = SerialClientExecutor(eager_clients)
+        eager = simulation.run()
+    _assert_histories_equal(eager, lazy)
+    assert [r.mean_loss for r in eager.rounds] == [r.mean_loss for r in lazy.rounds]
 
 
 def test_byzantine_checkpoint_resume_bit_identical(tmp_path):

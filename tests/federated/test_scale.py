@@ -23,6 +23,7 @@ import os
 import numpy as np
 
 from repro.experiments.harness import quick_config
+from repro.federated.executor import SerialClientExecutor
 from repro.federated.history import RoundSpool
 from repro.federated.simulation import FederatedSimulation, SimulationHistory
 
@@ -217,6 +218,27 @@ DYNAMICS = dict(
     device_classes=(0.5, 1.0, 2.0),
     drift_rate=0.2,
 )
+
+
+def test_population_dynamics_eager_matches_lazy():
+    """Clients rebuilt from the roster for every cohort train exactly like
+    the same clients built once before the run and reused every round: under
+    churn, stragglers and drift no client carries state between rounds."""
+    # five rounds, so one client trains in several rounds at different drift
+    config = quick_config("adult", "fed_cdp", **{**BASE, "rounds": 5}, **DYNAMICS)
+    lazy = _run_history_dict(config)
+    with FederatedSimulation(config) as simulation:
+        eager_clients = list(simulation.clients)
+        simulation.executor = SerialClientExecutor(eager_clients)
+        history = simulation.run()
+    payload = history.to_dict()
+    for key in ("executor", "num_workers", "worker_chunk_size"):
+        payload["config"].pop(key, None)
+    eager = _scrub_timings(payload)
+    assert eager == lazy
+    assert sum(len(r.get("offline_clients", [])) for r in eager["rounds"]) > 0
+    trained = [k for r in eager["rounds"] for k in r["participating_clients"]]
+    assert len(trained) > len(set(trained))
 
 
 def test_population_dynamics_serial_matches_multiprocessing_and_resume(tmp_path):
