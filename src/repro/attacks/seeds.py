@@ -11,7 +11,7 @@ uniform-random, constant and zero seeds are provided for the ablation bench.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -23,7 +23,7 @@ SEED_KINDS: Tuple[str, ...] = ("patterned", "uniform", "constant", "zeros")
 
 def patterned_random_seed(
     shape: Tuple[int, ...],
-    rng: Optional[np.random.Generator] = None,
+    rng: np.random.Generator,
     patch_size: int = 4,
 ) -> np.ndarray:
     """Patterned random initialization: a small random patch tiled over the input.
@@ -33,7 +33,6 @@ def patterned_random_seed(
     the repeated geometric texture of the CPL "patterned" seed.  For flat
     (tabular) shapes a random vector pattern of length ``patch_size`` is tiled.
     """
-    rng = rng if rng is not None else np.random.default_rng()
     shape = tuple(int(s) for s in shape)
     if len(shape) >= 2:
         height, width = shape[-2], shape[-1]
@@ -49,9 +48,8 @@ def patterned_random_seed(
     return np.tile(pattern, reps)[:length].astype(np.float64)
 
 
-def uniform_random_seed(shape: Tuple[int, ...], rng: Optional[np.random.Generator] = None) -> np.ndarray:
+def uniform_random_seed(shape: Tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
     """Independent uniform noise in [0, 1] for every input entry."""
-    rng = rng if rng is not None else np.random.default_rng()
     return rng.uniform(0.0, 1.0, size=tuple(int(s) for s in shape))
 
 
@@ -63,7 +61,7 @@ def constant_seed(shape: Tuple[int, ...], value: float = 0.5) -> np.ndarray:
 def make_seed(
     kind: str,
     shape: Tuple[int, ...],
-    rng: Optional[np.random.Generator] = None,
+    rng: np.random.Generator,
 ) -> np.ndarray:
     """Create an attack seed of the requested kind (see :data:`SEED_KINDS`)."""
     kind = kind.lower()

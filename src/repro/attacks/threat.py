@@ -117,10 +117,10 @@ class GradientLeakageThreat:
         features: np.ndarray,
         labels: np.ndarray,
         round_index: int = 0,
-        rng: Optional[np.random.Generator] = None,
+        *,
+        rng: np.random.Generator,
     ) -> LeakageObservation:
         """Construct the adversary's observation for the requested leakage type."""
-        rng = rng if rng is not None else np.random.default_rng()
         leakage_type = leakage_type.lower()
         if leakage_type not in LEAKAGE_TYPES:
             raise ValueError(f"unknown leakage type {leakage_type!r}; expected one of {LEAKAGE_TYPES}")
@@ -165,10 +165,10 @@ class GradientLeakageThreat:
         features: np.ndarray,
         labels: np.ndarray,
         round_index: int = 0,
-        rng: Optional[np.random.Generator] = None,
+        *,
+        rng: np.random.Generator,
     ) -> AttackResult:
         """Observe the requested leakage surface and run the reconstruction attack."""
-        rng = rng if rng is not None else np.random.default_rng()
         observation = self.observe(
             leakage_type, global_weights, features, labels, round_index=round_index, rng=rng
         )

@@ -42,6 +42,7 @@ docstring of :mod:`repro.autodiff.ops`.
 
 from __future__ import annotations
 
+import struct
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
@@ -83,6 +84,80 @@ def _full_topological_order(outputs: Sequence[Tensor]) -> List[Tensor]:
 _OP, _BATCHED, _PARAM, _CONST = 0, 1, 2, 3
 
 
+def _arg_key(arg) -> object:
+    """A hashable stand-in for recorded ``op_args``, equal only when exact.
+
+    Scalars, ``None`` and tuples compare by value (and by type, so ``1``,
+    ``1.0`` and ``True`` stay apart), floats by their bit pattern (so
+    ``0.0`` and ``-0.0`` stay apart), and anything else — index arrays in
+    particular — by identity.
+    """
+    if isinstance(arg, float):
+        return (float, struct.pack("<d", arg))
+    if isinstance(arg, tuple):
+        return (tuple,) + tuple(_arg_key(a) for a in arg)
+    if arg is None or isinstance(arg, (bool, int, str, np.integer, np.bool_)):
+        return (type(arg), arg)
+    return (object, id(arg))
+
+
+def _compile(
+    steps: List[tuple], flags: List[bool], output_slots: List[int]
+) -> Tuple[List[tuple], List[bool], List[int]]:
+    """Rewrite traced steps into the fewest that give the same values.
+
+    Walking the steps in order, an op step whose rule, ``op_args`` and
+    (already rewritten) parent slots match an earlier op step's becomes an
+    alias of it (common-subexpression elimination: a rule is a pure function
+    of its inputs, so both would compute the same array), and an op step
+    whose parents are all constants is evaluated here, once, and becomes a
+    constant itself (constant folding: a replay would compute the same array
+    from the same baked inputs every time).  Parameters are read live on
+    every replay and are never folded through.  What the outputs no longer
+    reach is dropped and the slots renumbered.
+
+    Returns the compiled steps (op steps without liveness lists), their
+    batched flags and the output slots.
+    """
+    canonical = list(range(len(steps)))
+    first: Dict[tuple, int] = {}
+    for slot, step in enumerate(steps):
+        if step[0] != _OP:
+            continue
+        _, rule, op_args, parents, out_shape = step
+        parents = tuple(canonical[p] for p in parents)
+        key = (rule, _arg_key(op_args), parents)
+        earlier = first.get(key)
+        if earlier is not None:
+            canonical[slot] = earlier
+            continue
+        first[key] = slot
+        if all(steps[p][0] == _CONST for p in parents):
+            inputs = tuple((steps[p][1], False) for p in parents)
+            steps[slot] = (_CONST, rule(op_args, inputs, out_shape))
+        else:
+            steps[slot] = (_OP, rule, op_args, parents, out_shape)
+
+    outputs = [canonical[s] for s in output_slots]
+    reached = set()
+    pending = list(outputs)
+    while pending:
+        slot = pending.pop()
+        if slot not in reached:
+            reached.add(slot)
+            if steps[slot][0] == _OP:
+                pending.extend(steps[slot][3])
+    kept = sorted(reached)
+    renumber = {old: new for new, old in enumerate(kept)}
+    compiled = []
+    for old in kept:
+        step = steps[old]
+        if step[0] == _OP:
+            step = step[:3] + (tuple(renumber[p] for p in step[3]),) + step[4:]
+        compiled.append(step)
+    return compiled, [flags[old] for old in kept], [renumber[s] for s in outputs]
+
+
 class BatchedGraph:
     """A compiled recorded graph, replayable over a leading batch axis.
 
@@ -119,8 +194,8 @@ class BatchedGraph:
         batched_ids = {id(leaf): name for name, leaf in batched_inputs.items()}
         param_ids = {id(p) for p in params}
 
-        self._steps: List[tuple] = []
-        self._batched_flags: List[bool] = []
+        steps: List[tuple] = []
+        flags: List[bool] = []
         #: recorded single-example shape of each batched feed, for validation
         self.input_shapes: Dict[str, Tuple[int, ...]] = {
             name: tuple(leaf.shape) for name, leaf in batched_inputs.items()
@@ -135,50 +210,56 @@ class BatchedGraph:
                         "be replayed over a batch axis"
                     )
                 parent_slots = tuple(slot_of[id(p)] for p in node._parents)
-                batched = any(self._batched_flags[s] for s in parent_slots)
-                self._steps.append((_OP, rule, node._op_args, parent_slots, tuple(node.shape)))
+                batched = any(flags[s] for s in parent_slots)
+                steps.append((_OP, rule, node._op_args, parent_slots, tuple(node.shape)))
             elif id(node) in batched_ids:
                 batched = True
-                self._steps.append((_BATCHED, batched_ids[id(node)]))
+                steps.append((_BATCHED, batched_ids[id(node)]))
             elif id(node) in param_ids:
                 batched = False
-                self._steps.append((_PARAM, node))
+                steps.append((_PARAM, node))
             else:
                 batched = False
-                self._steps.append((_CONST, node.data))
-            self._batched_flags.append(batched)
+                steps.append((_CONST, node.data))
+            flags.append(batched)
 
-        self._output_slots = [slot_of[id(out)] for out in outputs]
+        output_slots = [slot_of[id(out)] for out in outputs]
+        #: whether each output carries the batch axis (static property of the
+        #: graph: an output is batched iff a batched input reaches it)
+        self.output_batched: List[bool] = [flags[s] for s in output_slots]
+        #: bytes of batched intermediates produced per example — drives the
+        #: cache-friendly auto-chunking of :meth:`replay`.  Summed over the
+        #: steps as traced, before the compile passes drop any: the chunk
+        #: sets the row count of every folded GEMM, whose blocking (and so
+        #: the last bits of conv values) depends on it.
+        self.bytes_per_example: int = sum(
+            int(np.prod(step[4])) * 8
+            for step, batched in zip(steps, flags)
+            if batched and step[0] == _OP
+        )
+
+        steps, flags, output_slots = _compile(steps, flags, output_slots)
+        self._batched_flags: List[bool] = flags
+        self._output_slots = output_slots
         # Liveness: a replay pass drops each value right after its last
         # reader runs, so it holds only the live intermediates; outputs are
-        # kept.  The graph is walked back from the outputs, so every other
-        # slot has a reader, and only op steps read: each op step carries the
-        # slots that die once it has run.
+        # kept.  The compiled steps are exactly those the outputs reach, so
+        # every other slot has a reader, and only op steps read: each op step
+        # carries the slots that die once it has run.
         last_reader: Dict[int, int] = {}
-        for slot, step in enumerate(self._steps):
+        for slot, step in enumerate(steps):
             if step[0] == _OP:
                 for parent in step[3]:
                     last_reader[parent] = slot
-        for slot in self._output_slots:
+        for slot in output_slots:
             last_reader.pop(slot, None)
         dead_after: Dict[int, List[int]] = {}
         for slot, reader in last_reader.items():
             dead_after.setdefault(reader, []).append(slot)
-        self._steps = [
+        self._steps: List[tuple] = [
             step + (tuple(dead_after.get(slot, ())),) if step[0] == _OP else step
-            for slot, step in enumerate(self._steps)
+            for slot, step in enumerate(steps)
         ]
-
-        #: whether each output carries the batch axis (static property of the
-        #: graph: an output is batched iff a batched input reaches it)
-        self.output_batched: List[bool] = [self._batched_flags[s] for s in self._output_slots]
-        #: bytes of batched intermediates produced per example — drives the
-        #: cache-friendly auto-chunking of :meth:`replay`
-        self.bytes_per_example: int = sum(
-            int(np.prod(step[4])) * 8
-            for step, batched in zip(self._steps, self._batched_flags)
-            if batched and step[0] == _OP
-        )
 
     # A full-batch replay streams every intermediate through memory once; when
     # the working set overflows the cache the whole pass turns DRAM-bound.

@@ -486,26 +486,29 @@ def index_select_last(a: ArrayLike, indices: np.ndarray) -> Tensor:
 # ``np.add.at`` disables ufunc buffering and dominates the convolution
 # backward pass.  Because the scatter index array is reused across calls (the
 # im2col cache returns the same object for a given geometry), we precompute a
-# gather plan per index array: a ``(size, kmax)`` table whose row ``j`` lists
-# the source positions scattering into target ``j`` (in stable source order,
-# padded with a sentinel pointing at an appended zero column).  The scatter
-# then becomes a contiguous ``np.take`` plus one innermost-axis ``sum`` —
-# both C-speed, buffered operations, unlike a sort + ``reduceat`` whose
-# segment loop dominates for many rows.  Entries hold a strong reference to
-# the index array, so an ``id`` can never be recycled while its plan is
-# cached.
+# gather plan per index array: a ``(kmax, size)`` table whose column ``j``
+# lists the source positions scattering into target ``j`` (in stable source
+# order, padded with a sentinel pointing at an appended zero column).  The
+# scatter then becomes one contiguous ``np.take`` of ``kmax`` planes plus
+# ``kmax - 1`` whole-plane adds — C-speed, buffered operations, unlike a
+# sort + ``reduceat`` whose segment loop dominates for many rows.  Entries
+# hold a strong reference to the index array, so an ``id`` can never be
+# recycled while its plan is cached.
 _SCATTER_PLAN_CACHE: dict = {}
 _SCATTER_PLAN_CACHE_MAX = 64
 
+#: numpy's pairwise summation sums runs of up to this many terms with eight
+#: interleaved accumulators and splits longer runs in two
+_PAIRWISE_BLOCK = 128
+
 
 def _scatter_plan(indices: np.ndarray, size: int) -> np.ndarray:
-    """Return the padded gather table ``pos`` of shape ``(size, kmax)``.
+    """Return the padded gather table ``plan`` of shape ``(kmax, size)``.
 
-    ``pos[j]`` holds the positions ``k`` with ``indices[k] == j`` in ascending
-    ``k`` order, padded with ``len(indices)`` — the index of the zero column
-    the caller appends.  The table fixes the order each target's terms are
-    summed in, independent of the batch rows; it is not a sequential
-    scatter-add's order once numpy's pairwise summation kicks in (``kmax >= 8``).
+    ``plan[:, j]`` holds the positions ``k`` with ``indices[k] == j`` in
+    ascending ``k`` order, padded with ``len(indices)`` — the index of the
+    zero column the caller appends.  The table fixes the order each target's
+    terms are summed in, independent of the batch rows.
     """
     key = (id(indices), size)
     entry = _SCATTER_PLAN_CACHE.get(key)
@@ -518,28 +521,73 @@ def _scatter_plan(indices: np.ndarray, size: int) -> np.ndarray:
     sorted_indices = indices[order]
     segment_starts = np.concatenate(([0], np.cumsum(counts)))
     ranks = np.arange(length) - segment_starts[sorted_indices]
-    pos = np.full((size, max(kmax, 1)), length, dtype=np.int64)
-    pos[sorted_indices, ranks] = order
+    plan = np.full((max(kmax, 1), size), length, dtype=np.int64)
+    plan[ranks, sorted_indices] = order
     if len(_SCATTER_PLAN_CACHE) >= _SCATTER_PLAN_CACHE_MAX:
         _SCATTER_PLAN_CACHE.clear()
-    _SCATTER_PLAN_CACHE[key] = (indices, pos)
-    return pos
+    _SCATTER_PLAN_CACHE[key] = (indices, plan)
+    return plan
+
+
+def _pairwise_plane_sum(terms: np.ndarray, start: int, count: int) -> np.ndarray:
+    """Sum of the planes ``terms[:, start:start + count]`` in numpy's pairwise order.
+
+    This is the order numpy's ``add.reduce`` sums a *contiguous* run of
+    ``count`` terms in (``pairwise_sum`` in its loops; a reduction over a
+    strided axis, such as ``terms.sum(axis=1)``, runs in plain sequence
+    instead): fewer than 8 terms
+    one after another; up to :data:`_PAIRWISE_BLOCK` terms into eight
+    accumulators ``r[j] = t[j] + t[j + 8] + ...``, combined as
+    ``((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))``, with the terms
+    past the last multiple of 8 added one after another; longer runs split
+    at a multiple of 8 near the middle.  Here each term is a whole plane
+    ``terms[:, k]``, so every addition is one vectorised pass.
+    """
+    if count < 8:
+        total = terms[:, start].copy()
+        for k in range(start + 1, start + count):
+            total += terms[:, k]
+        return total
+    if count <= _PAIRWISE_BLOCK:
+        blocked = start + count - count % 8
+        accumulators = terms[:, start : start + 8]
+        for k in range(start + 8, blocked, 8):
+            accumulators = accumulators + terms[:, k : k + 8]
+        pairs = accumulators[:, 0::2] + accumulators[:, 1::2]
+        total = pairs[:, 0] + pairs[:, 1]
+        total += pairs[:, 2] + pairs[:, 3]
+        for k in range(blocked, start + count):
+            total += terms[:, k]
+        return total
+    half = count // 2
+    half -= half % 8
+    return _pairwise_plane_sum(terms, start, half) + _pairwise_plane_sum(
+        terms, start + half, count - half
+    )
 
 
 def _scatter_add_2d(data: np.ndarray, indices: np.ndarray, size: int) -> np.ndarray:
-    """Row-wise scatter-add of a 2-D array via the cached gather plan."""
-    pos = _scatter_plan(indices, size)
+    """Row-wise scatter-add of a 2-D array via the cached gather plan.
+
+    Bit for bit ``np.take(extended, plan.T, axis=1).sum(axis=2)``: each
+    target sums its terms (plus exact-zero padding) in numpy's pairwise
+    order over one fixed term order that does not depend on the other rows,
+    so a row's result is the same in any batch.  For ``kmax >= 8`` that can
+    differ from a row-wise ``np.add.at`` in the last bits (a 3x3 conv has
+    ``kmax = 9``).
+    """
+    plan = _scatter_plan(indices, size)
     rows, length = data.shape
     extended = np.empty((rows, length + 1), dtype=data.dtype)
     extended[:, :length] = data
     extended[:, length] = 0.0
-    # (rows, size, kmax) contiguous gather, reduced over the innermost axis.
-    # Each target sums its terms (plus exact-zero padding) in one fixed order
-    # that does not depend on the other rows, so a row's result is the same
-    # in any batch.  For kmax >= 8 numpy sums that axis pairwise, so it can
-    # differ from a row-wise ``np.add.at`` in the last bits (a 3x3 conv has
-    # kmax = 9).
-    return np.take(extended, pos, axis=1).sum(axis=2)
+    # (rows, kmax, size): term k of every target is one contiguous plane
+    terms = np.take(extended, plan, axis=1)
+    total = _pairwise_plane_sum(terms, 0, plan.shape[0])
+    # numpy's reduction starts from the identity +0.0, which turns an
+    # all-(-0.0) sum into +0.0 and leaves every other sum as it is
+    total += 0.0
+    return total
 
 
 def index_add_last(a: ArrayLike, indices: np.ndarray, size: int) -> Tensor:
@@ -702,10 +750,14 @@ def _matmul_rule(args, inputs, out_shape):
         return np.matmul(a.reshape(batch * rows, inner), b).reshape(batch, rows, b.shape[1])
     if a_batched and b_batched and a.shape[2] == 1:
         # (B, N, 1) @ (B, 1, M): the per-example weight gradient of a dense
-        # layer is an outer product — each output element is one multiply with
-        # no accumulation, so a broadcast product is bit-identical to dgemm
-        # and skips numpy's per-slice batched-GEMM dispatch entirely.
-        return a * b
+        # layer is an outer product — each output element is one multiply
+        # added to a zeroed output, which is what dgemm computes.  An einsum
+        # that sums over no index computes exactly ``0.0 + a * b`` (the
+        # broadcast product ``a * b`` agrees except that it keeps a -0.0
+        # product, which dgemm's zeroed output turns into +0.0), with an
+        # inner loop over the M-wide rows instead of per-row ufunc dispatch,
+        # and it skips numpy's per-slice batched-GEMM dispatch entirely.
+        return np.einsum("bn,bm->bnm", a[:, :, 0], b[:, 0, :])
     # np.matmul handles the remaining cases natively — (N, K) @ (K, M),
     # (N, K) @ (B, K, M) and the genuinely batched (B, N, K) @ (B, K, M) —
     # *provided* each batch slice is a BLAS-compatible 2-D matrix.  An operand

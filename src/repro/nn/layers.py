@@ -39,11 +39,10 @@ class Dense(Module):
         self,
         in_features: int,
         out_features: int,
-        rng: Optional[np.random.Generator] = None,
+        rng: np.random.Generator,
         use_bias: bool = True,
     ) -> None:
         super().__init__()
-        rng = rng if rng is not None else np.random.default_rng()
         self.in_features = int(in_features)
         self.out_features = int(out_features)
         self.weight = Tensor(
@@ -73,11 +72,11 @@ class Conv2D(Module):
         kernel_size: int = 3,
         stride: int = 1,
         padding: int = 1,
-        rng: Optional[np.random.Generator] = None,
+        *,
+        rng: np.random.Generator,
         use_bias: bool = True,
     ) -> None:
         super().__init__()
-        rng = rng if rng is not None else np.random.default_rng()
         self.in_channels = int(in_channels)
         self.out_channels = int(out_channels)
         self.kernel_size = int(kernel_size)

@@ -185,7 +185,7 @@ def clip_noise_mean(
         clipped = [flat[start:stop] / scale[start:stop] for flat, scale in zip(flats, scales)]
         if block is not None:
             # the mechanism's add, not a bare one: benchmarks/e2e/tracing.py times it as `noise`
-            clipped = noise.mechanism.add_noise_to_stack(clipped, noise=block)
+            clipped = noise.mechanism.add_noise_to_stack(clipped, rng=None, noise=block)
         for total, rows in zip(sums, clipped):
             for row in rows:
                 total += row

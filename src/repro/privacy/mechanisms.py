@@ -274,16 +274,15 @@ class GaussianMechanism:
         """Standard deviation ``sigma * S`` of the injected noise."""
         return self.noise_scale * self.sensitivity
 
-    def add_noise(self, value: np.ndarray, rng: Optional[np.random.Generator] = None) -> np.ndarray:
+    def add_noise(self, value: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Return ``value`` plus iid Gaussian noise of standard deviation :attr:`stddev`."""
-        rng = rng if rng is not None else np.random.default_rng()
         value = np.asarray(value, dtype=np.float64)
         if self.stddev == 0.0:
             return np.array(value, copy=True)
         return value + rng.normal(0.0, self.stddev, size=value.shape)
 
     def add_noise_to_list(
-        self, values: Sequence[np.ndarray], rng: Optional[np.random.Generator] = None
+        self, values: Sequence[np.ndarray], rng: np.random.Generator
     ) -> List[np.ndarray]:
         """Apply :meth:`add_noise` independently to each array in a list.
 
@@ -291,7 +290,6 @@ class GaussianMechanism:
         13) and Fed-CDP (Algorithm 2, line 14), where the model update is a
         list of per-layer arrays.
         """
-        rng = rng if rng is not None else np.random.default_rng()
         return [self.add_noise(value, rng=rng) for value in values]
 
     def fill_noise(self, out: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -308,7 +306,7 @@ class GaussianMechanism:
     def add_noise_to_stack(
         self,
         stack: Sequence[np.ndarray],
-        rng: Optional[np.random.Generator] = None,
+        rng: Optional[np.random.Generator],
         noise: Optional[np.ndarray] = None,
     ) -> List[np.ndarray]:
         """Noise a stacked per-example representation in a single RNG call.
@@ -323,7 +321,8 @@ class GaussianMechanism:
         path.
 
         ``noise`` is that ``(B, total)`` draw already made (a block of a
-        :class:`LocalStream`); it is used instead of drawing from ``rng``.
+        :class:`LocalStream`); it is used instead of drawing from ``rng``,
+        which may then be ``None``.  Without ``noise``, ``rng`` is required.
         The returned arrays are views of the noise buffer, into which
         ``stack`` has been added in place.
         """
@@ -335,7 +334,8 @@ class GaussianMechanism:
         sizes = [math.prod(value.shape[1:]) for value in stack]
         shape = (batch, int(sum(sizes)))
         if noise is None:
-            rng = rng if rng is not None else np.random.default_rng()
+            if rng is None:
+                raise ValueError("add_noise_to_stack needs an rng or a noise draw")
             flat_noise = self.fill_noise(np.empty(shape, dtype=np.float64), rng)
         elif noise.shape != shape:
             raise ValueError(f"noise has shape {noise.shape}; the stack needs {shape}")

@@ -148,14 +148,19 @@ def test_threat_validation_and_observation_metadata(mnist_setup):
     _, model, data, config = mnist_setup
     trainer = make_trainer("nonprivate", model, config.with_overrides(method="nonprivate"))
     threat = GradientLeakageThreat(trainer, _attack_config())
+    rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
-        threat.observe("type9", model.get_weights(), data.features[:1], data.labels[:1])
+        threat.observe("type9", model.get_weights(), data.features[:1], data.labels[:1], rng=rng)
     with pytest.raises(ValueError):
-        threat.observe("type2", model.get_weights(), data.features[:0], data.labels[:0])
-    observation = threat.observe("type2", model.get_weights(), data.features[:2], data.labels[:2])
+        threat.observe("type2", model.get_weights(), data.features[:0], data.labels[:0], rng=rng)
+    observation = threat.observe(
+        "type2", model.get_weights(), data.features[:2], data.labels[:2], rng=rng
+    )
     assert observation.batch_size == 1
     assert observation.ground_truth.shape == data.features[0].shape
-    observation_batch = threat.observe("type0", model.get_weights(), data.features[:3], data.labels[:3])
+    observation_batch = threat.observe(
+        "type0", model.get_weights(), data.features[:3], data.labels[:3], rng=rng
+    )
     assert observation_batch.batch_size == 3
 
 

@@ -50,9 +50,9 @@ def test_make_seed_dispatch(rng):
     for kind in SEED_KINDS:
         seed = make_seed(kind, (1, 4, 4), rng=rng)
         assert seed.shape == (1, 4, 4)
-    np.testing.assert_array_equal(make_seed("zeros", (3,)), np.zeros(3))
+    np.testing.assert_array_equal(make_seed("zeros", (3,), rng=rng), np.zeros(3))
     with pytest.raises(ValueError):
-        make_seed("bogus", (3,))
+        make_seed("bogus", (3,), rng=rng)
 
 
 def test_seeds_are_deterministic_with_generator():

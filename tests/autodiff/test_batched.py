@@ -8,7 +8,9 @@ including the backward pass recorded under ``create_graph=True``.  Hypothesis
 drives randomly composed op pipelines through trace/replay; deterministic
 tests pin down the edge cases (batch of one, changing batch sizes between
 replays, chunked replay, non-batched outputs, and the compile-time
-validation errors).
+validation errors).  The compile passes (common-subexpression elimination
+and constant folding) are checked against a replay of the step list as
+traced, bit for bit, and by the op-step counts of the repository's traces.
 """
 
 from __future__ import annotations
@@ -22,7 +24,9 @@ from repro.autodiff import (
     BatchedGraph,
     Tensor,
     abs_,
+    add,
     clip_values,
+    exp,
     grad,
     logsumexp,
     matmul,
@@ -30,10 +34,18 @@ from repro.autodiff import (
     relu,
     sigmoid,
     softmax,
+    sqrt,
     tanh,
     tracing,
     tsum,
 )
+from repro.attacks.multistart import MultiRestartReconstruction
+from repro.attacks.reconstruction import AttackConfig
+from repro.autodiff import batched as batched_module
+from repro.autodiff.ops import BATCH_RULES
+from repro.data.registry import get_dataset_spec
+from repro.nn import build_model_for_dataset
+from repro.nn.perexample import _per_example_trace
 
 ATOL = 1e-10
 #: replayed GEMMs may reassociate float ops vs the per-row reference, so
@@ -251,3 +263,210 @@ def test_missing_batch_rule_is_a_compile_time_error(monkeypatch):
     monkeypatch.delitem(ops_module.BATCH_RULES, "matmul")
     with pytest.raises(ValueError, match="declares no batch rule"):
         BatchedGraph([out], {"x": x}, params=[weight])
+
+
+# ----------------------------------------------------------------------
+# Compile passes: common-subexpression elimination and constant folding
+# ----------------------------------------------------------------------
+#: pipeline ops built to leave work for the compile passes: repeated
+#: subexpressions and constant-only chains, next to same-op same-input pairs
+#: whose args differ (by value, or by the sign of a zero), which must not
+#: be merged
+_REDUNDANT_OPS = {
+    "twice_tanh": (False, lambda x, w: add(tanh(x), tanh(x))),
+    "twice_matmul": (True, lambda x, w: add(matmul(x, w), matmul(x, w))),
+    "const_scale": (False, lambda x, w: mul(x, sqrt(add(Tensor(0.5), exp(Tensor(-0.25)))))),
+    "signed_zero_clips": (
+        False,
+        lambda x, w: add(clip_values(x, -0.0, 0.5), mul(clip_values(x, 0.0, 0.5), Tensor(3.0))),
+    ),
+    "two_clips": (False, lambda x, w: add(clip_values(x, -0.5, 0.5), clip_values(x, -0.25, 0.25))),
+    "two_sums": (
+        False,
+        lambda x, w: add(tsum(x, axis=1, keepdims=True), tsum(x, axis=0, keepdims=True)),
+    ),
+    "relu": _PIPELINE_OPS["relu"],
+    "sigmoid": _PIPELINE_OPS["sigmoid"],
+    "softmax": _PIPELINE_OPS["softmax"],
+    "square": _PIPELINE_OPS["square"],
+}
+
+
+def _traced_steps(outputs, batched_inputs, params):
+    """The step list as traced, before any compile pass: one step per node."""
+    nodes = batched_module._full_topological_order(outputs)
+    slot_of = {id(node): slot for slot, node in enumerate(nodes)}
+    names = {id(leaf): name for name, leaf in batched_inputs.items()}
+    param_ids = {id(p) for p in params}
+    steps = []
+    for node in nodes:
+        if node._parents:
+            parents = tuple(slot_of[id(p)] for p in node._parents)
+            steps.append(("op", BATCH_RULES[node._op_name], node._op_args, parents, tuple(node.shape)))
+        elif id(node) in names:
+            steps.append(("batched", names[id(node)]))
+        elif id(node) in param_ids:
+            steps.append(("param", node))
+        else:
+            steps.append(("const", node.data))
+    return steps, [slot_of[id(out)] for out in outputs]
+
+
+def _replay_traced(steps, output_slots, feeds):
+    """Replay every traced step, in order, with no rewrite."""
+    values, flags = [], []
+    for step in steps:
+        if step[0] == "op":
+            _, rule, op_args, parents, out_shape = step
+            values.append(rule(op_args, tuple((values[p], flags[p]) for p in parents), out_shape))
+            flags.append(any(flags[p] for p in parents))
+        elif step[0] == "batched":
+            values.append(np.asarray(feeds[step[1]], dtype=np.float64))
+            flags.append(True)
+        elif step[0] == "param":
+            values.append(step[1].data)
+            flags.append(False)
+        else:
+            values.append(step[1])
+            flags.append(False)
+    return [values[s] for s in output_slots]
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _op_steps(graph):
+    return [step for step in graph._steps if step[0] == batched_module._OP]
+
+
+def _assert_fully_compiled(graph):
+    """No two op steps share a CSE key, and none reads only constants."""
+    keys = set()
+    for step in _op_steps(graph):
+        _, rule, op_args, parents, _, _ = step
+        key = (rule, batched_module._arg_key(op_args), parents)
+        assert key not in keys
+        keys.add(key)
+        assert not all(graph._steps[p][0] == batched_module._CONST for p in parents)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    op_names=st.lists(st.sampled_from(sorted(_REDUNDANT_OPS)), min_size=1, max_size=5),
+    width=st.integers(2, 5),
+    batch=st.integers(1, 6),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_compiled_replay_is_bit_identical_to_the_traced_steps(op_names, width, batch, seed):
+    """The rewritten step list gives the same bits as the step list as
+    traced, replayed op by op — signed zeros included."""
+    rng = np.random.default_rng(seed)
+    weights, plan, current = [], [], width
+    for name in op_names:
+        needs_weight, fn = _REDUNDANT_OPS[name]
+        weight = None
+        if needs_weight:
+            weight = Tensor(rng.normal(scale=0.7, size=(current, current)), requires_grad=True)
+            weights.append(weight)
+        plan.append((fn, weight))
+
+    x = Tensor(np.zeros((1, width)))
+    with tracing():
+        h = x
+        for fn, weight in plan:
+            h = fn(h, weight)
+        loss = tsum(mul(h, h))
+        outputs = list(grad(loss, weights, create_graph=True)) if weights else []
+        outputs.append(loss)
+    graph = BatchedGraph(outputs, {"x": x}, params=weights)
+    _assert_fully_compiled(graph)
+    steps, output_slots = _traced_steps(outputs, {"x": x}, weights)
+    assert len(_op_steps(graph)) <= sum(step[0] == "op" for step in steps)
+
+    feeds = rng.normal(size=(batch, 1, width))
+    feeds[rng.random(feeds.shape) < 0.2] = 0.0
+    feeds[rng.random(feeds.shape) < 0.2] = -0.0
+    compiled = graph.replay({"x": feeds}, chunk=batch)
+    reference = _replay_traced(steps, output_slots, {"x": feeds})
+    for got, want in zip(compiled, reference):
+        assert _same_bits(got, want)
+
+
+def test_repeated_subexpressions_and_constant_chains_are_compiled_away():
+    x = Tensor(np.zeros((1, 3)))
+    with tracing():
+        scale = sqrt(add(Tensor(0.5), Tensor(0.25)))  # constants only: folded
+        out = tsum(mul(add(tanh(x), tanh(x)), scale))  # second tanh: an alias
+    graph = BatchedGraph([out], {"x": x})
+    names = {id(rule): name for name, rule in BATCH_RULES.items()}
+    assert [names[id(step[1])] for step in _op_steps(graph)] == ["tanh", "add", "mul", "sum"]
+    _assert_fully_compiled(graph)
+    feeds = np.random.default_rng(0).normal(size=(4, 1, 3))
+    expected = np.sum(2.0 * np.tanh(feeds) * np.sqrt(0.75), axis=(1, 2))
+    np.testing.assert_allclose(graph.replay({"x": feeds})[0], expected, rtol=1e-15)
+
+
+def test_op_args_keys_keep_apart_what_is_not_interchangeable():
+    key = batched_module._arg_key
+    assert key((0.0,)) != key((-0.0,))
+    assert key((1,)) != key((1.0,)) != key((True,))
+    assert key(((0, 1), False)) == key(((0, 1), False))
+    assert key((float("nan"),)) == key((float("nan"),))
+    first, second = np.arange(3), np.arange(3)
+    assert key((first,)) == key((first,))
+    assert key((first,)) != key((second,))
+
+
+def test_parameters_are_never_folded():
+    weight = Tensor(np.ones((2, 2)), requires_grad=True)
+    x = Tensor(np.zeros((1, 2)))
+    with tracing():
+        out = tsum(matmul(x, mul(weight, Tensor(2.0))))
+    graph = BatchedGraph([out], {"x": x}, params=[weight])
+    feed = np.ones((3, 1, 2))
+    before = graph.replay({"x": feed})[0]
+    weight.data = weight.data * 3.0
+    np.testing.assert_array_equal(graph.replay({"x": feed})[0], 3.0 * before)
+
+
+def test_auto_chunk_counts_the_traced_steps():
+    """``bytes_per_example`` (and so the auto chunk) is summed over the steps
+    as traced: the chunk sets conv GEMM blocking, so the passes must not
+    move it."""
+    x = Tensor(np.zeros((1, 4)))
+    with tracing():
+        out = tsum(add(tanh(x), tanh(x)))
+    graph = BatchedGraph([out], {"x": x})
+    steps, _ = _traced_steps([out], {"x": x}, [])
+    traced_ops = [step for step in steps if step[0] == "op"]
+    assert graph.bytes_per_example == sum(int(np.prod(step[4])) * 8 for step in traced_ops)
+    assert len(_op_steps(graph)) == len(traced_ops) - 1
+
+
+def _mnist_cnn():
+    return build_model_for_dataset(get_dataset_spec("mnist"), seed=0, scale=0.5)
+
+
+#: op steps after the compile passes for the traces the benchmark workloads
+#: replay (254, 91 and 47 as traced); counts, not timings, so they do not
+#: depend on the machine
+_OP_STEP_CEILINGS = {"attack objective": 213, "per-example CNN": 82, "per-example MLP": 40}
+
+
+@pytest.mark.parametrize("trace", sorted(_OP_STEP_CEILINGS))
+def test_op_step_counts_of_the_workload_traces(trace):
+    if trace == "attack objective":
+        model = _mnist_cnn()
+        targets = [np.ones(p.shape) for p in model.parameters()]
+        attack = MultiRestartReconstruction(model, AttackConfig(max_iterations=12, value_range=(0.0, 1.0)))
+        graph, _ = attack._restart_trace((1, 1, 28, 28), targets)
+    elif trace == "per-example CNN":
+        graph = _per_example_trace(_mnist_cnn(), (1, 28, 28)).graph
+    else:
+        spec = get_dataset_spec("adult")
+        model = build_model_for_dataset(spec, seed=0, scale=1.0)
+        graph = _per_example_trace(model, tuple(spec.input_shape)).graph
+    _assert_fully_compiled(graph)
+    assert len(_op_steps(graph)) <= _OP_STEP_CEILINGS[trace]

@@ -132,8 +132,11 @@ def test_stream_first_taken_after_its_ring_fills(monkeypatch):
 
 def test_add_noise_to_stack_rejects_mismatched_noise_block():
     mechanism = GaussianMechanism(noise_scale=1.0, sensitivity=1.0)
+    stack = [np.zeros((2, 3)), np.zeros((2, 3))]
     with pytest.raises(ValueError, match="noise has shape"):
-        mechanism.add_noise_to_stack([np.zeros((2, 3)), np.zeros((2, 3))], noise=np.zeros((2, 5)))
+        mechanism.add_noise_to_stack(stack, rng=None, noise=np.zeros((2, 5)))
+    with pytest.raises(ValueError, match="needs an rng or a noise draw"):
+        mechanism.add_noise_to_stack(stack, rng=None)
 
 
 def test_clip_noise_mean_rejects_a_draw_short_of_the_stack():
